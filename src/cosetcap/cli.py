@@ -6,7 +6,7 @@ layer first: A x B encodes with B first.  Channels are depol, indxz,
 twopauli, or custom:cX,cY,cZ.
 
 Exit codes: 0 success, 1 regression mismatches, 2 validation error,
-3 numerical failure (no bracket, instability).
+3 numerical failure (no bracket, instability, enumeration budget).
 """
 
 from __future__ import annotations
@@ -256,12 +256,13 @@ def run(argv=None) -> int:
             pass
     try:
         return args.func(args)
-    except (ValueError, KeyError, ExhaustiveLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    # the budget errors subclass ValueError, so they are caught first
     except (NoThresholdError, MultisetBudgetError, StackBudgetError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ValueError, KeyError, ExhaustiveLimitError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     finally:
         if limiter is not None:
             limiter.unregister()
@@ -269,3 +270,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

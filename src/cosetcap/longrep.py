@@ -12,24 +12,41 @@ terms cancel in S_RB:
 
     S_RB (bits) = 1 + (E[-ln(1 + prod q)] - E[-ln(1 + prod r)]) / ln 2.
 
-Each expectation is computed from the distribution of (sign, sum of logs):
-per-block atoms (sign q, ln |q|) are binned on a uniform log grid with
-linear mass splitting (second-order accurate), the m-fold convolution
-power is taken through one FFT (transform, pointwise m-th power, inverse),
-and the expectation of -ln(1 +- e^x) is evaluated on the result with
-log1p-stable branches.  Signs multiply over the two-element group, handled
-by convolving the total and signed masses separately.  Exact point masses:
-q = 0 atoms short-circuit the product (zero channel); |ln q| below the
-truncation floor contributes less than exp(floor) and is folded into the
-zero channel as well.
+q side, an exact moment series.  The atoms k and n-k of a block have
+opposite q and weights in the ratio (1 + |q|) : (1 - |q|), so given the
+magnitudes the product is positive with probability (1 + Q) / 2,
+Q = prod |q_i|.  Averaging that sign out leaves the even power series
 
-The bin width alpha comes from a geometric ladder: the finest scale whose
-grid fits the bin budget is used, and the result is flagged unstable when
-that forces a scale coarser than the stability cap.
+    -((1+Q) ln(1+Q) + (1-Q) ln(1-Q)) / 2 = -sum_{j>=1} Q^{2j} / (2j(2j-1)),
+
+and independence of the blocks gives E[Q^{2j}] = M_{2j}^m with
+M_{2j} = sum_i w_i |q_i|^{2j}.  Atoms with |q| = 1 (total weight w1) sum
+in closed form, since sum_j 1 / (2j(2j-1)) = ln 2:
+
+    E[-ln(1 + prod q)] = -w1^m ln 2 - sum_j (M_{2j}^m - w1^m) / (2j(2j-1)).
+
+The first SERIES_HEAD terms are summed directly.  The rest is closed by
+Euler-Maclaurin, int_J^inf g - g(J)/2 - g'(J)/12 with g the summand at
+continuous j, the integral taken by composite Gauss-Legendre in
+u = ln(x / J).  The tail matters only when some |q| lies within ~1/J of 1
+(low noise, or short outer codes).  No binning and no FFT: the q side is
+exact to rounding.
+
+r side, an FFT convolution power.  The ratios are strictly positive, so
+-ln(1 + prod r) is a function of the sum of ln r: per-block atoms are
+binned on a uniform log grid with linear mass splitting (second-order
+accurate), the m-fold convolution power is taken through one FFT
+(transform, pointwise m-th power, inverse), and the expectation of
+-ln(1 + e^x) is evaluated on the result with log1p-stable branches.
+r = 0 atoms short-circuit the product (zero channel).  The bin width alpha
+comes from a geometric ladder: the finest scale whose grid fits the bin
+budget is used, and the result is flagged unstable when that forces a
+scale coarser than the stability cap.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,11 +57,12 @@ from .channels import PauliChannel
 from .rep import block_table
 
 ALPHA_0 = 1e-4
-ALPHA_MIN = 1e-9
 ALPHA_LADDER_STEPS = 40
 BIN_BUDGET = 1 << 24
 ALPHA_STABLE_MAX = 2e-4
-LOG_FLOOR = -46.0  # |q| below e^-46 contributes < 1e-20 to either entropy
+
+SERIES_HEAD = 1 << 14  # J: moment-series terms summed directly
+_HEAD_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -80,27 +98,80 @@ def qr_coefficients(n: int, ch: PauliChannel, inner_type: str = "X") -> QRTable:
     return QRTable(n, q, r, ln_h_sum, weight)
 
 
+@functools.cache
+def _tail_rule():
+    """Nodes and weights in u = ln(x / J) on [0, 40]: 80 panels of 24-point
+    Gauss-Legendre.  At x = J e^40 ~ 4e21 every |q| < 1 (so
+    |q| <= 1 - 2^-53) has |q|^(2x) = 0 in double precision.  Built on first
+    use: the Legendre roots cost an eigensolve that imports should not pay."""
+    panels, width = 80, 0.5
+    gx, gw = np.polynomial.legendre.leggauss(24)
+    u = ((np.arange(panels)[:, None] + 0.5 * (gx + 1.0)) * width).ravel()
+    return u, np.tile(0.5 * width * gw, panels)
+
+
+def _series_term(x: np.ndarray, logq: np.ndarray, wq: np.ndarray,
+                 w1: float, m: int):
+    """Summand g(x) = ((w1 + S)^m - w1^m) / (2x(2x-1)) at continuous j = x,
+    S = sum_i w_i |q_i|^(2x), and its derivative g'(x).
+
+    The difference is written as (w1 + S)^m (1 - (w1 / (w1 + S))^m), so
+    that neither w1^m underflowing nor S vanishing against w1 loses it.
+    """
+    pw = np.exp(2.0 * np.multiply.outer(x, logq))
+    s = pw @ wq
+    total = w1 + s
+    frac = np.divide(s, total, out=np.zeros_like(s), where=s > 0.0)
+    with np.errstate(divide="ignore"):
+        t = total ** m * -np.expm1(m * np.log1p(-frac))
+    dt = m * total ** (m - 1) * (pw @ (2.0 * logq * wq))
+    den = 2.0 * x * (2.0 * x - 1.0)
+    return t / den, dt / den - t * (8.0 * x - 2.0) / den ** 2
+
+
+def expect_neg_log1p_moments(absq: np.ndarray, weights: np.ndarray, m: int) -> float:
+    """E[-ln(1 + prod q)] over m draws of sign-paired atoms, from |q| alone.
+
+    Needs the atoms' signs to be paired as in a repetition block: given
+    the magnitudes, the product is positive with probability (1 + Q) / 2.
+    """
+    one = absq >= 1.0
+    w1 = float(weights[one].sum())
+    live = ~one & (absq > 0.0) & (weights > 0.0)
+    atoms = (np.log(absq[live]), weights[live], w1, m)
+    head = 0.0
+    for lo in range(1, SERIES_HEAD + 1, _HEAD_CHUNK):
+        j = np.arange(lo, min(lo + _HEAD_CHUNK, SERIES_HEAD + 1), dtype=float)
+        head += float(_series_term(j, *atoms)[0].sum())
+    # Euler-Maclaurin: sum_{j > J} g(j) = int_J^inf g - g(J)/2 - g'(J)/12
+    u, wu = _tail_rule()
+    x = SERIES_HEAD * np.exp(u)
+    integral = float(wu @ (_series_term(x, *atoms)[0] * x))
+    g_j, dg_j = _series_term(np.array([float(SERIES_HEAD)]), *atoms)
+    tail = integral - 0.5 * float(g_j[0]) - float(dg_j[0]) / 12.0
+    return -w1 ** m * math.log(2.0) - (head + tail)
+
+
 @dataclass(frozen=True)
-class SignedLogDistribution:
-    """Binned mass over (sign, alpha * integer log-magnitude) plus a point
-    mass for exactly-zero magnitudes."""
+class LogDistribution:
+    """Binned mass over alpha * integer log-magnitude plus a point mass for
+    exactly-zero magnitudes."""
 
     alpha: float
     offset: int          # grid value of bin j is alpha * (offset + j)
     pos: np.ndarray
-    neg: np.ndarray
     zero_mass: float
 
     def total_mass(self) -> float:
-        return float(self.pos.sum() + self.neg.sum()) + self.zero_mass
+        return float(self.pos.sum()) + self.zero_mass
 
     def check_invariants(self, tol: float = 1e-9) -> None:
         if abs(self.total_mass() - 1.0) > tol:
-            raise AssertionError(f"signed-log mass {self.total_mass()!r} != 1")
+            raise AssertionError(f"log-distribution mass {self.total_mass()!r} != 1")
 
 
-def bin_atoms(log_values: np.ndarray, weights: np.ndarray, signs: np.ndarray,
-              alpha: float, zero_mass: float = 0.0) -> SignedLogDistribution:
+def bin_atoms(log_values: np.ndarray, weights: np.ndarray, alpha: float,
+              zero_mass: float = 0.0) -> LogDistribution:
     """Linear-split binning of weighted atoms onto the alpha grid.
 
     Splitting each atom between its two neighbouring grid points preserves
@@ -108,99 +179,38 @@ def bin_atoms(log_values: np.ndarray, weights: np.ndarray, signs: np.ndarray,
     alpha for smooth integrands.
     """
     if log_values.size == 0:
-        return SignedLogDistribution(alpha, 0, np.zeros(1), np.zeros(1), zero_mass)
+        return LogDistribution(alpha, 0, np.zeros(1), zero_mass)
     scaled = log_values / alpha
     lo = np.floor(scaled).astype(np.int64)
     frac = scaled - lo
     offset = int(lo.min())
-    length = int(lo.max()) - offset + 2
-    pos = np.zeros(length)
-    neg = np.zeros(length)
-    for target, sign in ((pos, 1), (neg, -1)):
-        sel = signs == sign
-        if not sel.any():
-            continue
-        np.add.at(target, lo[sel] - offset, weights[sel] * (1.0 - frac[sel]))
-        np.add.at(target, lo[sel] - offset + 1, weights[sel] * frac[sel])
-    return SignedLogDistribution(alpha, offset, pos, neg, zero_mass)
+    pos = np.zeros(int(lo.max()) - offset + 2)
+    np.add.at(pos, lo - offset, weights * (1.0 - frac))
+    np.add.at(pos, lo - offset + 1, weights * frac)
+    return LogDistribution(alpha, offset, pos, zero_mass)
 
 
-def _fft_power(mass: np.ndarray, m: int, out_len: int, nfft: int) -> np.ndarray:
-    spectrum = rfft(mass, nfft)
-    out = irfft(spectrum ** m, nfft)[:out_len]
-    np.clip(out, 0.0, None, out=out)
-    return out
-
-
-def convolve_power(dist: SignedLogDistribution, m: int,
-                   scales=None) -> SignedLogDistribution:
-    """Distribution of (product of signs, sum of log magnitudes) over m draws."""
+def convolve_power(dist: LogDistribution, m: int) -> LogDistribution:
+    """Distribution of the sum of log magnitudes over m draws."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if m == 1:
         return dist
-    nonzero = float(dist.pos.sum() + dist.neg.sum())
-    zero_out = 1.0 - nonzero ** m
-    length = dist.pos.shape[0]
-    out_len = (length - 1) * m + 1
+    zero_out = 1.0 - float(dist.pos.sum()) ** m
+    out_len = (dist.pos.shape[0] - 1) * m + 1
     nfft = next_fast_len(out_len)
-    u = _fft_power(dist.pos + dist.neg, m, out_len, nfft)
-    if dist.neg.any():
-        v_in = dist.pos - dist.neg
-        spectrum = rfft(v_in, nfft)
-        v = irfft(spectrum ** m, nfft)[:out_len]
-        pos = 0.5 * (u + v)
-        neg = 0.5 * (u - v)
-        np.clip(pos, 0.0, None, out=pos)
-        np.clip(neg, 0.0, None, out=neg)
-    else:
-        pos, neg = u, np.zeros_like(u)
-    return SignedLogDistribution(dist.alpha, dist.offset * m, pos, neg, zero_out)
+    pos = irfft(rfft(dist.pos, nfft) ** m, nfft)[:out_len]
+    np.clip(pos, 0.0, None, out=pos)
+    return LogDistribution(dist.alpha, dist.offset * m, pos, zero_out)
 
 
-def expect_neg_log1p_signed(dist: SignedLogDistribution) -> float:
-    """E[-ln(1 + sign * e^x)] over the binned distribution.
-
-    The zero channel contributes -ln(1 + 0) = 0.  Negative-sign mass in the
-    x -> 0 bins would blow up; any such mass beyond numerical dust is a
-    stability problem reported by the caller.
-    """
+def expect_neg_log1p_signed(dist: LogDistribution) -> float:
+    """E[-ln(1 + e^x)] over the binned distribution; the zero channel
+    contributes -ln(1 + 0) = 0."""
     x = dist.alpha * (dist.offset + np.arange(dist.pos.shape[0]))
-    pos_term = np.where(x > 0.0, -(x + np.log1p(np.exp(-np.clip(x, 0.0, None)))),
-                        -np.log1p(np.exp(np.clip(x, None, 0.0))))
-    total = float(dist.pos @ pos_term)
-    if dist.neg.any():
-        with np.errstate(divide="ignore", invalid="ignore"):
-            em = -np.expm1(x)  # 1 - e^x
-            neg_term = np.where(em > 0.0, -np.log(np.where(em > 0.0, em, 1.0)), 0.0)
-        total += float(dist.neg @ neg_term)
-    return total
-
-
-def _sign_averaged_phi(x: np.ndarray) -> np.ndarray:
-    """E over the product's sign of -ln(1 + sign * e^x), at log-magnitude x.
-
-    Magnitude atoms come in opposite-sign pairs whose + member carries
-    weight proportional to (1 + |q|)/2, so conditioned on the magnitudes
-    the product is positive with probability (1 + e^x)/2.  Averaging the
-    sign analytically replaces the -ln(1 - e^x) singularity with the
-    bounded integrand -((1+Q)ln(1+Q) + (1-Q)ln(1-Q))/2, Q = e^x.
-    """
-    q = np.exp(np.clip(x, None, 0.0))
-    one_minus = -np.expm1(np.clip(x, None, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (1.0 + q) * np.log1p(q)
-        t2 = np.where(one_minus > 0.0,
-                      one_minus * np.log(np.where(one_minus > 0.0, one_minus, 1.0)),
-                      0.0)
-    return -0.5 * (t1 + t2)
-
-
-def expect_neg_log1p_paired(dist: SignedLogDistribution) -> float:
-    """E[-ln(1 + prod q)] given only the magnitude masses of paired atoms."""
-    x = dist.alpha * (dist.offset + np.arange(dist.pos.shape[0]))
-    mass = dist.pos + dist.neg
-    return float(mass @ _sign_averaged_phi(x))
+    term = np.where(x > 0.0, -(x + np.log1p(np.exp(-np.clip(x, 0.0, None)))),
+                    -np.log1p(np.exp(np.clip(x, None, 0.0))))
+    return float(dist.pos @ term)
 
 
 def _pick_alpha(span: float, alpha0: float = ALPHA_0,
@@ -214,29 +224,10 @@ def _pick_alpha(span: float, alpha0: float = ALPHA_0,
     return alpha
 
 
-def _resolve_smallest_atom(logs: np.ndarray, weights: np.ndarray,
-                           alpha0: float) -> float:
-    """Shrink alpha so the smallest significant log-magnitude spans >= 8 bins.
-
-    Near x = 0 the sign-averaged integrand has curvature ~ 1/(2|x|); a
-    heavy atom a fraction of one bin away from 0 would otherwise leave a
-    first-order-in-alpha binning error.  Resolving it makes the error
-    O(|x|) and self-limiting.
-    """
-    sig = (weights > 1e-9) & (logs < 0.0)
-    if not sig.any():
-        return alpha0
-    x_min = float(-logs[sig].max())
-    # refinement capped at 1024x: once alpha >> x_min the residual error is
-    # O(x_min * ln(alpha / x_min)), already negligible
-    return max(min(alpha0, x_min / 8.0), alpha0 / 1024.0, ALPHA_MIN)
-
-
 @dataclass(frozen=True)
 class LongRepEstimate:
     s_rb: float
     stable: bool
-    alpha_q: float
     alpha_r: float
 
 
@@ -255,43 +246,20 @@ def s_rb_estimate_channel(n: int, m: int, ch: PauliChannel,
     if m == 1:  # single block: both expectations are finite sums
         e_q = float(w @ -np.log1p(q))
         e_r = float(w @ -np.log1p(r))
-        return LongRepEstimate(1.0 + (e_q - e_r) / math.log(2.0), True,
-                               alpha0, alpha0)
+        return LongRepEstimate(1.0 + (e_q - e_r) / math.log(2.0), True, alpha0)
 
-    # q side: exact zeros and sub-floor magnitudes feed the zero channel.
-    # Only magnitudes are convolved; the sign is integrated out analytically
-    # (see _sign_averaged_phi), which removes the -ln(1 - e^x) singularity.
-    absq = np.abs(q)
-    tiny = absq <= math.exp(LOG_FLOOR)
-    zero_mass = float(w[tiny].sum())
-    wq, qv = w[~tiny], absq[~tiny]
-    stable = True
-    if wq.size:
-        logs = np.log(qv)
-        span_q = max(float(-logs.min()) * m, 1.0)
-        alpha_fine = _resolve_smallest_atom(logs, wq, alpha0)
-        alpha_q = _pick_alpha(span_q, alpha_fine, bin_budget)
-        stable &= alpha_q <= max(ALPHA_STABLE_MAX, alpha_fine * 2.0)
-        dist_q = bin_atoms(logs, wq, np.ones(wq.size, dtype=int), alpha_q, zero_mass)
-        conv_q = convolve_power(dist_q, m)
-        e_q = expect_neg_log1p_paired(conv_q)
-    else:
-        alpha_q = alpha0
-        e_q = 0.0
+    e_q = expect_neg_log1p_moments(np.abs(q), w, m)
 
     # r side: strictly positive ratios, no truncation of the upper tail
     logr = np.log(np.where(r > 0.0, r, 1.0))
     zero_r = r <= 0.0
     span_r = max((float(logr.max()) - float(logr.min())) * m, 1.0)
     alpha_r = _pick_alpha(span_r, alpha0, bin_budget)
-    stable &= alpha_r <= ALPHA_STABLE_MAX
-    dist_r = bin_atoms(logr[~zero_r], w[~zero_r], np.ones(int((~zero_r).sum()), dtype=int),
-                       alpha_r, float(w[zero_r].sum()))
-    conv_r = convolve_power(dist_r, m)
-    e_r = expect_neg_log1p_signed(conv_r)
+    dist_r = bin_atoms(logr[~zero_r], w[~zero_r], alpha_r, float(w[zero_r].sum()))
+    e_r = expect_neg_log1p_signed(convolve_power(dist_r, m))
 
     s_rb = 1.0 + (e_q - e_r) / math.log(2.0)
-    return LongRepEstimate(s_rb, stable, alpha_q, alpha_r)
+    return LongRepEstimate(s_rb, alpha_r <= ALPHA_STABLE_MAX, alpha_r)
 
 
 def s_rb_estimate(n: int, m: int, family, p: float,

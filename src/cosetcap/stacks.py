@@ -260,9 +260,10 @@ def _assignments_product(n_entries: int, n_sites: int, budget: int):
 
 def _assignments_multiset(n_entries: int, n_sites: int, budget: int):
     total = math.comb(n_entries + n_sites - 1, n_sites)
-    if total > budget:
+    # the count matrix below holds total * n_entries floats
+    if total * n_entries > budget:
         raise StackBudgetError(
-            f"{total} multisets exceed budget {budget}")
+            f"{total} multisets x {n_entries} entries exceed budget {budget}")
     assign = np.array(list(itertools.combinations_with_replacement(
         range(n_entries), n_sites)), dtype=np.int64)
     # log multinomial coefficient of each multiset

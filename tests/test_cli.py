@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cosetcap
 from cosetcap import registry_get, serialize_code
 from cosetcap.cli import (EXIT_DIFF, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                           build_parser, run)
@@ -123,3 +128,26 @@ def test_tables_runner_reports_fail(capsys):
     code = run(["tables", "--name", "table10", "--tol", "1e-12"])
     assert code == EXIT_DIFF
     assert "FAIL" in capsys.readouterr().out
+
+
+def _python_m(*argv):
+    """``python -m cosetcap ...`` in a fresh interpreter, on this package."""
+    src = str(Path(cosetcap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "cosetcap", *argv], capture_output=True,
+                          text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_python_m_entry_point():
+    assert _python_m("codes", "list").returncode == EXIT_OK
+    res = _python_m("tables", "--name", "table10", "--tol", "1e-12")
+    assert res.returncode == EXIT_DIFF
+    assert "FAIL" in res.stdout
+
+
+def test_stack_over_budget_is_numerical_failure(capsys):
+    # the top repX(5) has 15,020,334 multisets over 69 entries: refused by
+    # the assignment budget before any enumeration
+    assert run(["threshold", "--code", "repX(5) x 5qubit x repZ(5)",
+                "--channel", "depol"]) == EXIT_NUMERICAL
+    assert "exceed budget" in capsys.readouterr().err

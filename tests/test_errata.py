@@ -80,7 +80,8 @@ SMALL_SHAPES = sorted({(n, m) for n, m in (rep_shape(c["stack"]) for _, c in ERR
 
 
 def test_ledger_covers_the_disputed_cells():
-    assert len(ERRATA) == 16  # 15 gated cells, plus table7/shor = table9/3x3
+    # 15 gated cells, plus table7/shor = table9/3x3 and table7/4rep
+    assert len(ERRATA) == 17
     assert SMALL_SHAPES  # the enumeration check below is not vacuous
     for name, cell in ERRATA:
         assert name in ACCEPTANCE_TOL and cell["erratum"], f"{name}/{cell['id']}"

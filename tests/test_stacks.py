@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,16 @@ def test_stack_budget_error():
     stack = parse_stack_spec("repZ(5) x biased9")
     with pytest.raises(StackBudgetError):
         s_rb_stack_exact(stack, CH06, budget=100)
+
+
+def test_stack_budget_bounds_multiset_memory():
+    # repX(5) over the 69 entries of 5qubit: 15,020,334 multisets, whose
+    # multiset count matrix alone would take 8.3 GB
+    stack = parse_stack_spec("repX(5) x 5qubit x repZ(5)")
+    t0 = time.perf_counter()
+    with pytest.raises(StackBudgetError, match="69 entries"):
+        s_rb_stack_exact(stack, family_eval(DEPOL, 0.0635))
+    assert time.perf_counter() - t0 < 10.0
 
 
 def test_mc_zero_noise():
