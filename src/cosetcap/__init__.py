@@ -4,7 +4,7 @@ from exact coset weight enumerators, closed-form repetition-code
 enumerators, Monte Carlo sampling, and a moment-series and FFT estimator
 for long concatenated repetition codes."""
 
-from .pauli import PauliString, commutes, pauli_mul, weights
+from .pauli import PauliString, anticommutes, pauli_mul, weights
 from .channels import (ChannelFamily, PauliChannel, channel_entropy,
                        custom_family, family_eval, hashing_point,
                        parse_channel_spec)
@@ -22,7 +22,7 @@ from .optimize import OptimizationResult, nonadditivity_at_hashing, optimize_cha
 __version__ = "0.1.0"
 
 __all__ = [
-    "PauliString", "pauli_mul", "commutes", "weights",
+    "PauliString", "pauli_mul", "anticommutes", "weights",
     "PauliChannel", "ChannelFamily", "family_eval", "channel_entropy",
     "hashing_point", "custom_family", "parse_channel_spec",
     "StabilizerCode", "parse_code", "serialize_code", "registry_get",

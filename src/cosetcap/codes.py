@@ -25,7 +25,7 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass
 
-from .pauli import PauliString, commutes
+from .pauli import PauliString, anticommutes
 
 
 class CodeValidationError(ValueError):
@@ -86,7 +86,7 @@ def validate_code(code: StabilizerCode) -> None:
     gens = code.generators
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            if commutes(gens[i], gens[j]):
+            if anticommutes(gens[i], gens[j]):
                 raise CodeValidationError(
                     f"{code.name}: generators {i} and {j} anticommute")
     rank = _symplectic_rank(gens)
@@ -96,13 +96,13 @@ def validate_code(code: StabilizerCode) -> None:
     for kind, ops in (("X", code.logical_x), ("Z", code.logical_z)):
         for j, op in enumerate(ops):
             for i, g in enumerate(gens):
-                if commutes(op, g):
+                if anticommutes(op, g):
                     raise CodeValidationError(
                         f"{code.name}: logical {kind}[{j}] anticommutes with generator {i}")
     for i, lx in enumerate(code.logical_x):
         for j, lz in enumerate(code.logical_z):
             want = 1 if i == j else 0
-            if commutes(lx, lz) != want:
+            if anticommutes(lx, lz) != want:
                 raise CodeValidationError(
                     f"{code.name}: logical pairing broken at X[{i}], Z[{j}]")
 
@@ -242,15 +242,15 @@ class Classification:
 def classify(code: StabilizerCode, e: PauliString) -> Classification:
     """Syndrome and logical-class bits of an error.
 
-    syndrome[i] = commutes(e, generators[i]); class bits come in
+    syndrome[i] = anticommutes(e, generators[i]); class bits come in
     (logical_x[j], logical_z[j]) pairs.  Two errors share both vectors
     exactly when they sit in the same stabilizer coset.
     """
     if e.n != code.n:
         raise ValueError(f"error length {e.n} != code n {code.n}")
-    syndrome = tuple(commutes(e, g) for g in code.generators)
+    syndrome = tuple(anticommutes(e, g) for g in code.generators)
     cls = []
     for j in range(code.k):
-        cls.append(commutes(e, code.logical_x[j]))
-        cls.append(commutes(e, code.logical_z[j]))
+        cls.append(anticommutes(e, code.logical_x[j]))
+        cls.append(anticommutes(e, code.logical_z[j]))
     return Classification(syndrome, tuple(cls))

@@ -27,6 +27,8 @@ from .channels import PauliChannel
 from .codes import StabilizerCode
 
 EXHAUSTIVE_LIMIT = 13
+_ENTROPY_BLOCK = 1 << 16  # elements per row block of batched_s_rb
+_TINY = np.finfo(float).tiny
 
 # class index -> position in a (p_I, p_X, p_Y, p_Z) vector, and its inverse:
 # class bits (anti w/ X?, anti w/ Z?) give I->0, Z->1, X->2, Y->3.
@@ -160,11 +162,33 @@ def s_rb_exact(table: CosetTable) -> float:
     return entropy_from_cells(table.probs)
 
 
+def _row_plogp(rows: np.ndarray) -> np.ndarray:
+    """sum p ln p along each row of a non-negative 2-D array (0 ln 0 = 0).
+
+    Cells below the smallest normal float take ln of it instead, which moves
+    the sum by less than 1e-305.
+    """
+    logs = np.maximum(rows, _TINY)
+    np.log(logs, out=logs)
+    logs *= rows
+    return logs.sum(axis=1)
+
+
 def batched_s_rb(cells: np.ndarray) -> np.ndarray:
-    """S_RB per assignment for a (A, syndromes, classes) batch, in bits."""
-    h_cells = _neg_plogp(cells).sum(axis=(1, 2))
-    h_synd = _neg_plogp(cells.sum(axis=2)).sum(axis=1)
-    return (h_cells - h_synd) / math.log(2.0)
+    """S_RB per assignment for a (A, syndromes, classes) batch, in bits.
+
+    Reduces blocks of rows of the (A, classes, syndromes) layout, which is
+    contiguous for the Walsh engine's cells (other layouts are copied).
+    """
+    by_class = np.ascontiguousarray(cells.transpose(0, 2, 1))
+    a = by_class.shape[0]
+    rows = max(1, _ENTROPY_BLOCK // max(1, cells.shape[1] * cells.shape[2]))
+    out = np.empty(a)
+    for start in range(0, a, rows):
+        block = by_class[start:start + rows]
+        out[start:start + rows] = (_row_plogp(block.sum(axis=1))
+                                   - _row_plogp(block.reshape(block.shape[0], -1)))
+    return out / math.log(2.0)
 
 
 def s_rb_code(code: StabilizerCode, ch: PauliChannel,

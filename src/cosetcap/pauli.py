@@ -68,7 +68,7 @@ def pauli_mul(a: PauliString, b: PauliString) -> PauliString:
     return PauliString(a.n, a.x_bits ^ b.x_bits, a.z_bits ^ b.z_bits)
 
 
-def commutes(a: PauliString, b: PauliString) -> int:
+def anticommutes(a: PauliString, b: PauliString) -> int:
     """Symplectic inner product: 0 if a and b commute, 1 if they anticommute."""
     if a.n != b.n:
         raise ValueError(f"length mismatch: {a.n} vs {b.n}")

@@ -15,6 +15,16 @@ grouped further into multisets with multinomial weights.  Neither grouping
 changes the value.  When exact enumeration exceeds the budget, the Monte
 Carlo path samples assignments from their product distribution and
 evaluates the outermost layer exactly per sample.
+
+Every layer is evaluated in the Walsh domain, where the XOR convolution of
+per-site letter distributions over classification bits is a pointwise
+product of spectra.  Each site of a layer takes one of E input channels,
+so the (n, E, 2^bits) table of their spectra is built once per layer;
+enumerated assignments multiply rows of it, and product layers reuse the
+products of every combination of their last sites as one block.  Sampled
+rows take one 4-column matmul per site.  The inverse transform is H_a X H_b
+on an (a, b) reshape of the 2^bits points, two matmuls with Sylvester
+factors.
 """
 
 from __future__ import annotations
@@ -29,11 +39,12 @@ from scipy.special import gammaln
 from .channels import PauliChannel, channel_entropy
 from .codes import StabilizerCode, registry_get, validate_code
 from .exact import (CLASS_OF_LETTER, EXHAUSTIVE_LIMIT, batched_s_rb,
-                    coset_distribution, entropy_from_cells)
+                    coset_distribution)
 from .pauli import PauliString, pauli_mul
 
 ASSIGNMENT_BUDGET = 100_000_000
-_CHUNK_ROWS = 4096
+_CHUNK_ELEMS = 1 << 19  # spectrum elements per enumerated chunk
+_WHT_BLOCK = 1 << 16  # elements per row block of the inverse transform
 _GROUP_TOL = 1e-12
 
 
@@ -157,6 +168,15 @@ def _merge_entries(weights: np.ndarray, channels: np.ndarray,
 
 
 _sign_cache: dict = {}
+_hadamard_cache: dict = {}
+
+
+def _parity_table(nbits: int) -> np.ndarray:
+    """parity[v] = popcount(v) mod 2 for every v < 2^nbits."""
+    parity = np.zeros(1, dtype=np.int8)
+    for _ in range(nbits):
+        parity = np.concatenate([parity, parity ^ 1])
+    return parity
 
 
 def _site_sign_matrices(code: StabilizerCode) -> np.ndarray:
@@ -168,59 +188,82 @@ def _site_sign_matrices(code: StabilizerCode) -> np.ndarray:
     cached = _sign_cache.get(key)
     if cached is not None:
         return cached
-    masks = _letter_bit_masks(code)
     nbits = len(code.generators) + 2 * code.k
-    size = 1 << nbits
-    chi = np.arange(size)
-    signs = np.empty((code.n, 4, size))
-    for i in range(code.n):
-        for li in range(4):
-            overlap = chi & int(masks[i, li])
-            par = np.zeros(size, dtype=np.int64)
-            o = overlap.copy()
-            while o.any():
-                par ^= o & 1
-                o >>= 1
-            signs[i, li] = 1.0 - 2.0 * par
+    chi = np.arange(1 << nbits)
+    parity = _parity_table(nbits)[chi & _letter_bit_masks(code)[:, :, None]]
+    signs = 1.0 - 2.0 * parity
     _sign_cache[key] = signs
     if len(_sign_cache) > 64:
         _sign_cache.pop(next(iter(_sign_cache)))
     return signs
 
 
+def _hadamard_factors(bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sylvester factors (H_a / 2^bits, H_b) with a * b = 2^bits, a >= b."""
+    cached = _hadamard_cache.get(bits)
+    if cached is None:
+        sylvester = [np.ones((1, 1))]
+        for _ in range(bits - bits // 2):
+            h = sylvester[-1]
+            sylvester.append(np.block([[h, h], [h, -h]]))
+        cached = (sylvester[bits - bits // 2] / (1 << bits), sylvester[bits // 2])
+        _hadamard_cache[bits] = cached
+    return cached
+
+
 def _inverse_wht(arr: np.ndarray) -> np.ndarray:
-    """In-place fast Walsh-Hadamard transform along the last axis, / length."""
+    """In-place inverse Walsh-Hadamard transform along the last axis.
+
+    On the (a, b) reshape of 2^bits points the Sylvester matrix factors as
+    H_a (x) H_b, so each row transforms as H_a X H_b / 2^bits: two matmuls
+    per block of rows, through one block-sized scratch buffer.  ``arr``
+    must be C-contiguous; it is returned.
+    """
+    if not arr.flags.c_contiguous:
+        raise ValueError("_inverse_wht transforms C-contiguous arrays in place")
     size = arr.shape[-1]
+    ha, hb = _hadamard_factors(size.bit_length() - 1)
+    a, b = ha.shape[0], hb.shape[0]
     flat = arr.reshape(-1, size)
-    tmp = np.empty_like(flat[:, : size // 2]) if size > 1 else None
-    h = 1
-    while h < size:
-        view = flat.reshape(-1, size // (2 * h), 2, h)
-        v0 = view[:, :, 0, :]
-        v1 = view[:, :, 1, :]
-        t = tmp.reshape(v0.shape) if tmp is not None else None
-        np.subtract(v0, v1, out=t)
-        np.add(v0, v1, out=v0)
-        v1[...] = t
-        h *= 2
-    arr /= size
+    rows = max(1, _WHT_BLOCK // size)
+    scratch = np.empty((min(rows, flat.shape[0]), a, b))
+    for start in range(0, flat.shape[0], rows):
+        block = flat[start:start + rows].reshape(-1, a, b)
+        tmp = scratch[:block.shape[0]]
+        np.matmul(block.reshape(-1, b), hb, out=tmp.reshape(-1, b))
+        np.matmul(ha, tmp, out=block)
     return arr
+
+
+def _cells(code: StabilizerCode, spec: np.ndarray) -> np.ndarray:
+    """Coset cells (A, S, C) of a batch of Walsh spectra (A, 2^bits).
+
+    The spectra are transformed in place; the cells are a transposed view
+    of them, contiguous as (A, C, S).
+    """
+    dist = _inverse_wht(spec)
+    np.clip(dist, 0.0, None, out=dist)
+    return dist.reshape(spec.shape[0], 4 ** code.k,
+                        2 ** len(code.generators)).transpose(0, 2, 1)
 
 
 def _batched_cells(code: StabilizerCode, chans: np.ndarray) -> np.ndarray:
     """Coset cells for per-row site channels: chans (A, n, 4) -> (A, S, C).
 
     The XOR convolution over sites is a pointwise product in the Walsh
-    domain: one 4-column matmul per site, one inverse transform at the end.
+    domain: one 4-column matmul per site and block of rows, one inverse
+    transform at the end.  Used for sampled rows; enumerated assignments
+    use ``_layer_batches``.
     """
     signs = _site_sign_matrices(code)
-    a = chans.shape[0]
-    spec = chans[:, 0, :] @ signs[0]
-    for i in range(1, code.n):
-        spec *= chans[:, i, :] @ signs[i]
-    dist = _inverse_wht(spec)
-    np.clip(dist, 0.0, None, out=dist)
-    return dist.reshape(a, 4 ** code.k, 2 ** len(code.generators)).transpose(0, 2, 1)
+    spec = np.empty((chans.shape[0], signs.shape[-1]))
+    rows = max(1, _WHT_BLOCK // signs.shape[-1])
+    for start in range(0, spec.shape[0], rows):
+        block, sites = spec[start:start + rows], chans[start:start + rows]
+        np.matmul(sites[:, 0, :], signs[0], out=block)
+        for i in range(1, code.n):
+            block *= sites[:, i, :] @ signs[i]
+    return _cells(code, spec)
 
 
 def _conditional_channels(cells: np.ndarray):
@@ -249,15 +292,6 @@ def effective_channels(code: StabilizerCode, site_channels,
     return _merge_entries(synd[0], cond[0], tol=tol, canonicalize=canonicalize)
 
 
-def _assignments_product(n_entries: int, n_sites: int, budget: int):
-    total = n_entries ** n_sites
-    if total > budget:
-        raise StackBudgetError(
-            f"{n_entries}^{n_sites} = {total} assignments exceed budget {budget}")
-    grids = np.indices((n_entries,) * n_sites).reshape(n_sites, total).T
-    return np.ascontiguousarray(grids, dtype=np.int64)
-
-
 def _assignments_multiset(n_entries: int, n_sites: int, budget: int):
     total = math.comb(n_entries + n_sites - 1, n_sites)
     # the count matrix below holds total * n_entries floats
@@ -274,18 +308,53 @@ def _assignments_multiset(n_entries: int, n_sites: int, budget: int):
     return assign, log_coeff
 
 
-def _layer_assignments(layer: StabilizerCode, entries: EffectiveChannelSet,
-                       budget: int):
-    """Assignment index array and log-weights for one layer's inputs."""
-    n_entries = entries.weights.shape[0]
+def _layer_batches(layer: StabilizerCode, entries: EffectiveChannelSet,
+                   budget: int):
+    """Yield (log-weights, Walsh spectra) chunks over every assignment of
+    ``entries`` to the sites of ``layer``.
+
+    ``table[i, e]`` is the spectrum of entry e on site i.  Multiset
+    assignments multiply rows gathered from it.  The product of all E^n
+    assignments is enumerated in lexicographic order, last site fastest: the
+    products of every combination of the last sites form one block of at
+    most ``chunk`` rows, built once, and each chunk is a few prefix
+    products times that block, one multiply per element.
+    """
+    table = entries.channels @ _site_sign_matrices(layer)  # (n, E, 2^bits)
     logw_entry = np.log(entries.weights)
+    n_entries, n, size = table.shape[1], layer.n, table.shape[2]
+    chunk = max(1, _CHUNK_ELEMS // size)
     if layer.permutation_symmetric:
-        assign, log_coeff = _assignments_multiset(n_entries, layer.n, budget)
+        assign, log_coeff = _assignments_multiset(n_entries, n, budget)
         logw = log_coeff + logw_entry[assign].sum(axis=1)
-    else:
-        assign = _assignments_product(n_entries, layer.n, budget)
-        logw = logw_entry[assign].sum(axis=1)
-    return assign, logw
+        for start in range(0, assign.shape[0], chunk):
+            idx = assign[start:start + chunk]
+            spec = table[0, idx[:, 0]]
+            for i in range(1, n):
+                spec *= table[i, idx[:, i]]
+            yield logw[start:start + chunk], spec
+        return
+    total = n_entries ** n
+    if total > budget:
+        raise StackBudgetError(
+            f"{n_entries}^{n} = {total} assignments exceed budget {budget}")
+    block, block_logw = np.ones((1, size)), np.zeros(1)
+    n_prefix = n
+    while n_prefix > 0 and block.shape[0] * n_entries <= chunk:
+        n_prefix -= 1
+        block = (table[n_prefix][:, None, :] * block[None, :, :]).reshape(-1, size)
+        block_logw = (logw_entry[:, None] + block_logw[None, :]).ravel()
+    place = n_entries ** np.arange(n_prefix - 1, -1, -1)
+    per_chunk = max(1, chunk // block.shape[0])
+    for start in range(0, n_entries ** n_prefix, per_chunk):
+        stop = min(start + per_chunk, n_entries ** n_prefix)
+        digits = np.arange(start, stop)[:, None] // place % n_entries
+        prefix = np.ones((stop - start, size))
+        for i in range(n_prefix):
+            prefix *= table[i, digits[:, i]]
+        spec = (prefix[:, None, :] * block[None, :, :]).reshape(-1, size)
+        logw = logw_entry[digits].sum(axis=1)[:, None] + block_logw[None, :]
+        yield logw.ravel(), spec
 
 
 def _layer_effective_set(layer: StabilizerCode, entries: EffectiveChannelSet,
@@ -295,15 +364,10 @@ def _layer_effective_set(layer: StabilizerCode, entries: EffectiveChannelSet,
         raise ValueError("inner layers must have k = 1")
     if layer.n > limit:
         raise StackBudgetError(f"layer {layer.name} exceeds exhaustive limit")
-    assign, logw = _layer_assignments(layer, entries, budget)
     all_w, all_ch = [], []
-    for start in range(0, assign.shape[0], _CHUNK_ROWS):
-        sl = slice(start, start + _CHUNK_ROWS)
-        chans = entries.channels[assign[sl]]
-        cells = _batched_cells(layer, chans)
-        synd, cond = _conditional_channels(cells)
-        w = np.exp(logw[sl])[:, None] * synd
-        all_w.append(w.ravel())
+    for logw, spec in _layer_batches(layer, entries, budget):
+        synd, cond = _conditional_channels(_cells(layer, spec))
+        all_w.append((np.exp(logw)[:, None] * synd).ravel())
         all_ch.append(cond.reshape(-1, 4))
     return _merge_entries(np.concatenate(all_w), np.vstack(all_ch), tol=tol,
                           canonicalize=canonicalize)
@@ -328,13 +392,9 @@ def s_rb_stack_exact(stack: CodeStack, ch: PauliChannel,
     top = stack.layers[-1]
     if top.n > limit:
         raise StackBudgetError(f"layer {top.name} exceeds exhaustive limit")
-    assign, logw = _layer_assignments(top, entries, budget)
     total = 0.0
-    for start in range(0, assign.shape[0], _CHUNK_ROWS):
-        sl = slice(start, start + _CHUNK_ROWS)
-        chans = entries.channels[assign[sl]]
-        cells = _batched_cells(top, chans)
-        total += float(np.exp(logw[sl]) @ batched_s_rb(cells))
+    for logw, spec in _layer_batches(top, entries, budget):
+        total += float(np.exp(logw) @ batched_s_rb(_cells(top, spec)))
     return total
 
 

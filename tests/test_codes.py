@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from cosetcap import (PauliString, classify, commutes, make_repetition_code,
-                      parse_code, pauli_mul, registry_get, registry_names,
-                      serialize_code, trivial_code)
+from cosetcap import (PauliString, anticommutes, classify,
+                      make_repetition_code, parse_code, pauli_mul, registry_get,
+                      registry_names, serialize_code, trivial_code)
 from cosetcap.codes import CodeValidationError
 
 P = PauliString.from_text

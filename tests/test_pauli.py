@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from cosetcap import PauliString, commutes, pauli_mul, weights
+from cosetcap import PauliString, anticommutes, pauli_mul, weights
 
 P = PauliString.from_text
 
@@ -48,14 +48,14 @@ def test_mul_length_mismatch():
     with pytest.raises(ValueError):
         pauli_mul(P("XX"), P("X"))
     with pytest.raises(ValueError):
-        commutes(P("XX"), P("X"))
+        anticommutes(P("XX"), P("X"))
 
 
 def test_commutes_examples():
-    assert commutes(P("X"), P("Z")) == 1
-    assert commutes(P("XZZXI"), P("XZZXI")) == 0
+    assert anticommutes(P("X"), P("Z")) == 1
+    assert anticommutes(P("XZZXI"), P("XZZXI")) == 0
     # 5-qubit generator against its logical X
-    assert commutes(P("XZZXI"), P("XXXXX")) == 0
+    assert anticommutes(P("XZZXI"), P("XXXXX")) == 0
 
 
 def test_weights_examples():
@@ -73,7 +73,7 @@ def test_mul_commutative(pair):
 @given(pauli_pairs())
 def test_commutes_symmetric(pair):
     a, b = pair
-    assert commutes(a, b) == commutes(b, a)
+    assert anticommutes(a, b) == anticommutes(b, a)
 
 
 @given(st.data())
@@ -83,7 +83,7 @@ def test_mul_associative_and_commutes_bilinear(data):
         st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n))))
     a, b, c = mk(), mk(), mk()
     assert pauli_mul(pauli_mul(a, b), c) == pauli_mul(a, pauli_mul(b, c))
-    assert commutes(pauli_mul(a, b), c) == commutes(a, c) ^ commutes(b, c)
+    assert anticommutes(pauli_mul(a, b), c) == anticommutes(a, c) ^ anticommutes(b, c)
 
 
 @given(pauli_strings())

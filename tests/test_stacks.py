@@ -2,12 +2,16 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosetcap import (ChannelFamily, CodeStack, MonteCarlo, PauliChannel,
                       compose_stack, effective_channels, family_eval,
                       parse_stack_spec, registry_get, s_rb_code,
                       s_rb_stack_exact, s_rb_stack_mc)
-from cosetcap.stacks import StackBudgetError
+from cosetcap import stacks
+from cosetcap.exact import _letter_bit_masks
+from cosetcap.stacks import (_WHT_BLOCK, StackBudgetError, _inverse_wht,
+                             _site_sign_matrices)
 
 DEPOL = ChannelFamily("depolarizing")
 CH06 = family_eval(DEPOL, 0.06)
@@ -162,3 +166,84 @@ def test_three_layer_mc_runs():
     exact = s_rb_stack_exact(stack, CH06)
     est, se = s_rb_stack_mc(stack, CH06, samples=60_000, seed=2)
     assert abs(est - exact) <= 4.0 * se
+
+
+@pytest.mark.parametrize("name", ["5qubit", "422", "toric822", "biased9"])
+def test_site_sign_matrices_match_brute_force_parity(name):
+    code = registry_get(name)
+    signs = _site_sign_matrices(code)
+    masks = _letter_bit_masks(code)
+    size = 1 << (len(code.generators) + 2 * code.k)
+    assert signs.shape == (code.n, 4, size)
+    for i in range(code.n):
+        for letter in range(4):
+            parity = [bin(chi & int(masks[i, letter])).count("1") % 2
+                      for chi in range(size)]
+            assert np.array_equal(signs[i, letter], 1.0 - 2.0 * np.array(parity))
+
+
+@pytest.mark.parametrize("bits", range(15))
+def test_inverse_wht_matches_sylvester_product(bits):
+    size = 1 << bits
+    # three more rows than two row blocks: the last block is partial
+    rows = 2 * max(1, _WHT_BLOCK // size) + 3
+    x = np.random.default_rng(bits).uniform(-1.0, 1.0, (rows, size))
+    want_x = x.copy()
+    out = _inverse_wht(x)
+    assert out is x
+    # explicit Sylvester rows H[u, v] = (-1)^popcount(u & v); all of them up
+    # to 2^10 points, 256 sampled output points beyond
+    cols = np.arange(size)
+    if size > 1024:
+        cols = np.sort(np.random.default_rng(100 + bits).choice(size, 256, replace=False))
+    overlap = cols[:, None] & np.arange(size)[None, :]
+    parity = np.zeros_like(overlap)
+    for b in range(bits):
+        parity ^= (overlap >> b) & 1
+    hadamard = 1.0 - 2.0 * parity
+    want = want_x @ hadamard.T / size
+    assert np.abs(out[:, cols] - want).max() <= 1e-14
+
+
+# letter probabilities: exact zeros are drawn often
+_LETTER = st.one_of(st.just(0.0), st.floats(0.001, 1.0))
+
+
+@st.composite
+def pauli_channels(draw):
+    v = np.array([draw(_LETTER) for _ in range(4)])
+    if draw(st.booleans()) or v.sum() == 0.0:
+        v[0] += 1.0  # mostly-identity channels, and the noiseless one
+    return PauliChannel(*(v / v.sum()))
+
+
+# non-symmetric tops, one with k = 2, and a multiset top
+CROSS_ENGINE_SPECS = ["repZ(3) x 422", "repZ(2) x scfH", "repZ(2) x 613H",
+                      "repZ(2) x 5qubit", "repZ(2) x repX(2) x 3repX"]
+
+
+@pytest.mark.parametrize("spec", CROSS_ENGINE_SPECS)
+@settings(max_examples=20, deadline=None)
+@given(ch=st.one_of(st.just(PauliChannel(1, 0, 0, 0)), pauli_channels()))
+def test_grouped_engine_matches_flat_composition(spec, ch):
+    stack = parse_stack_spec(spec)
+    grouped = s_rb_stack_exact(stack, ch)
+    assert np.isfinite(grouped)
+    assert grouped == pytest.approx(s_rb_code(compose_stack(stack), ch), abs=1e-9)
+    raw = s_rb_stack_exact(stack, ch, group_tol=0.0, canonicalize=False)
+    assert raw == pytest.approx(grouped, abs=1e-12)
+
+
+@pytest.mark.parametrize("chunk_elems", [1, 3 << 10])
+def test_chunking_never_changes_values(monkeypatch, chunk_elems):
+    # chunks of one assignment, and of a few prefixes times a block of the
+    # last sites, against the flat code; the letters are all distinct so
+    # that every site's spectrum table matters
+    ch = PauliChannel(0.8, 0.1, 0.03, 0.07)
+    monkeypatch.setattr(stacks, "_CHUNK_ELEMS", chunk_elems)
+    for spec in ("repZ(3) x 422", "repZ(2) x 613H", "repZ(2) x repX(2) x 3repX"):
+        stack = parse_stack_spec(spec)
+        want = s_rb_code(compose_stack(stack), ch)
+        raw = s_rb_stack_exact(stack, ch, group_tol=0.0, canonicalize=False)
+        assert raw == pytest.approx(want, abs=1e-9)
+        assert s_rb_stack_exact(stack, ch) == pytest.approx(want, abs=1e-9)
