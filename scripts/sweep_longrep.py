@@ -15,22 +15,23 @@ import sys
 import time
 
 from cosetcap import parse_channel_spec, s_rb_estimate
+from cosetcap.channels import bracketed_root
 
 
 def estimator_threshold(n, m, family, lo, hi, tol=1e-8):
-    f = lambda p: s_rb_estimate(n, m, family, p).s_rb - 1.0
-    if not (f(lo) < 0.0 < f(hi)):
+    """(p_star, stable) where the estimated S_RB crosses 1, or (None, False)
+    when it does not cross on [lo, hi]; stable holds for every evaluation."""
+    ests = []
+
+    def f(p):
+        ests.append(s_rb_estimate(n, m, family, p))
+        return ests[-1].s_rb - 1.0
+
+    try:
+        lo, hi, _ = bracketed_root(f, lo, hi, tol)
+    except ValueError:
         return None, False
-    stable = True
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        est = s_rb_estimate(n, m, family, mid)
-        stable &= est.stable
-        if est.s_rb > 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi), stable
+    return 0.5 * (lo + hi), all(est.stable for est in ests)
 
 
 BRACKETS = {"depolarizing": (0.055, 0.0675), "independent_xz": (0.105, 0.118),

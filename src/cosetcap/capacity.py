@@ -4,7 +4,8 @@ families.
 The rate of a stack of total length l whose outermost layer carries k
 logical qubits is (k - S_RB) / l; the empty stack degenerates to the
 hashing rate 1 - H(channel).  A threshold is the noise parameter where the
-rate crosses zero, certified by a bisection bracket.
+rate crosses zero, found by bracketed root (Chandrupatla) and certified by
+its final bracket.
 
 Evaluation dispatch, in order:
   * empty stack                       -> channel entropy (method "exact")
@@ -21,7 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channels import ChannelFamily, PauliChannel, channel_entropy, family_eval, hashing_point
+from .channels import (ChannelFamily, PauliChannel, bracketed_root, channel_entropy,
+                       entropy_peak, family_eval, hashing_point)
 from .codes import StabilizerCode
 from .exact import EXHAUSTIVE_LIMIT, s_rb_code
 from .longrep import s_rb_estimate_channel
@@ -123,20 +125,6 @@ def nonadditivity(stack: CodeStack, family: ChannelFamily, p: float, **kw) -> fl
     return rate_from_channel(stack, ch, **kw) - max(0.0, 1.0 - channel_entropy(ch))
 
 
-def _family_upper(family: ChannelFamily) -> float:
-    if family.kind != "custom":
-        return family.p_max() - 1e-9
-    # first local entropy maximum bounds the increasing branch
-    best_p, best_h = 0.0, 0.0
-    for i in range(1, 512):
-        p = i / 512
-        h = channel_entropy(family_eval(family, p))
-        if h < best_h:
-            break
-        best_p, best_h = p, h
-    return best_p
-
-
 @dataclass(frozen=True)
 class ThresholdResult:
     stack_spec: str
@@ -148,20 +136,25 @@ class ThresholdResult:
     std_error: float | None = None
     stable: bool = True
     crossed: bool = True
+    evals: int = 0
 
 
 def threshold(stack: CodeStack, family: ChannelFamily, tol: float = DEFAULT_TOL,
               bracket: tuple[float, float] | None = None, **kw) -> ThresholdResult:
-    """Largest noise parameter with positive rate, by certified bisection.
+    """Largest noise parameter with positive rate, by certified bracketed
+    root (Chandrupatla).
 
-    Deterministic methods bisect the sign of k - S_RB down to ``tol``.
-    Monte Carlo strategies bisect the estimate under common random numbers
-    and report the threshold's standard error through the local slope.
+    Deterministic methods shrink a bracket on the sign of k - S_RB down to
+    ``tol``.  Monte Carlo strategies solve for the estimate under common
+    random numbers (so it is a deterministic function of p) and report the
+    threshold's standard error through the local slope.  ``evals`` counts
+    every S_RB evaluation made, the two bracket ends and, for Monte Carlo,
+    the three error-bar evaluations included.
     """
     target = float(stack.k_outer)
     if bracket is None:
         lo = 0.5 * hashing_point(family)
-        hi = _family_upper(family)
+        hi = entropy_peak(family) if family.kind == "custom" else family.p_max() - 1e-9
     else:
         lo, hi = bracket
     mc = kw.get("mc") or (stack.strategy if isinstance(stack.strategy, MonteCarlo) else None)
@@ -183,12 +176,8 @@ def threshold(stack: CodeStack, family: ChannelFamily, tol: float = DEFAULT_TOL,
             f"no rate sign change on [{lo:.6g}, {hi:.6g}] "
             f"(S_RB - k: {f_lo:.3g}, {f_hi:.3g})")
     eff_tol = max(tol, 1e-7 if is_mc else 0.0)
-    while hi - lo > eff_tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi, evals = bracketed_root(f, lo, hi, eff_tol, f_lo=f_lo, f_hi=f_hi)
+    evals += 2
     p_star = 0.5 * (lo + hi)
 
     std_error = None
@@ -200,11 +189,13 @@ def threshold(stack: CodeStack, family: ChannelFamily, tol: float = DEFAULT_TOL,
         slope = (ev_p.s_rb - ev_m.s_rb) / (2.0 * delta)
         ev_c = evaluate_s_rb(stack, family_eval(family, p_star), **kw)
         std_error = abs(ev_c.std_error / slope) if slope else math.inf
+        evals += 3
     method = ("mc" if is_mc else
               "longrep" if "longrep" in methods else
               "exact" if methods == {"exact"} else "grouped")
     return ThresholdResult(stack.spec(), family.spec(), p_star, method,
-                           eff_tol, (lo, hi), std_error=std_error, stable=stable)
+                           eff_tol, (lo, hi), std_error=std_error, stable=stable,
+                           evals=evals)
 
 
 @dataclass(frozen=True)

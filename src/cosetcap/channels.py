@@ -166,36 +166,70 @@ def _family_entropy(family: ChannelFamily, p: float) -> float:
     return channel_entropy(family_eval(family, p))
 
 
-def hashing_point(family: ChannelFamily, tol: float = 1e-12,
-                  bracket: tuple[float, float] | None = None) -> float:
-    """Smallest p with channel entropy exactly 1 bit, by bracketed bisection.
+def entropy_peak(family: ChannelFamily) -> float:
+    """Noise parameter of the family's largest channel entropy.
 
-    The entropy rises from 0 at p = 0; for strongly biased custom families
-    it can peak below the end of the range and fall back under 1, so the
-    bracket is located by a forward scan for the first sign change.
+    The entropy is concave in p for every family (a linear family is a
+    concave function of a linear map; independent_xz is twice a binary
+    entropy), so this is its only maximum.  For custom families
+    dH/dp = log2((1 - p) / p) + H(c) vanishes at p = 1 / (1 + 2^-H(c)).
     """
-    if bracket is None:
-        a, b = 0.0, family.p_max()
-    else:
-        a, b = bracket
-    if _family_entropy(family, a) >= 1.0:
-        raise ValueError("entropy already >= 1 at lower bracket end")
-    # locate the first upcrossing on a coarse grid
-    steps = 256
-    lo = a
-    hi = None
-    for i in range(1, steps + 1):
-        p = a + (b - a) * i / steps
-        if _family_entropy(family, p) >= 1.0:
-            hi = p
-            break
-        lo = p
-    if hi is None:
-        raise ValueError("channel entropy never reaches 1 on the bracket")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _family_entropy(family, mid) >= 1.0:
-            hi = mid
+    if family.kind == "depolarizing":
+        return 0.25
+    if family.kind == "independent_xz":
+        return 0.5
+    if family.kind == "two_pauli":
+        return 1.0 / 3.0
+    return 1.0 / (1.0 + 2.0 ** -entropy_bits(family.coefficients))
+
+
+def bracketed_root(f, lo: float, hi: float, tol: float,
+                   f_lo: float | None = None, f_hi: float | None = None):
+    """Shrink a bracket with f(lo) < 0 <= f(hi) to width <= tol.
+
+    Chandrupatla's method (Adv. Eng. Software 28 (1997) 145): inverse
+    quadratic interpolation through the last three points when it is safe,
+    bisection otherwise, every step kept at least tol/2 inside the bracket.
+    Endpoint values the caller already has are passed as ``f_lo``/``f_hi``.
+    Returns (lo, hi, evaluations of f); both ends are evaluated points.
+    """
+    evals = 0
+    if f_lo is None:
+        f_lo, evals = f(lo), evals + 1
+    if f_hi is None:
+        f_hi, evals = f(hi), evals + 1
+    if not f_lo < 0.0 <= f_hi:
+        raise ValueError(f"f does not change sign on [{lo!r}, {hi!r}]: {f_lo!r}, {f_hi!r}")
+    # x1 is the newest point, x2 the other bracket end, x3 the one dropped
+    x1, f1, x2, f2, x3, f3 = hi, f_hi, lo, f_lo, lo, f_lo
+    t = 0.5
+    while abs(x1 - x2) > tol:
+        x = x1 + t * (x2 - x1)
+        fx, evals = f(x), evals + 1
+        if (fx >= 0.0) == (f1 >= 0.0):
+            x3, f3 = x1, f1
         else:
-            lo = mid
+            x3, f3, x2, f2 = x2, f2, x1, f1
+        x1, f1 = x, fx
+        xi = (x1 - x2) / (x3 - x2)
+        phi = (f1 - f2) / (f3 - f2)
+        t = 0.5
+        if 1.0 - math.sqrt(1.0 - xi) < phi < math.sqrt(xi):
+            t = (f1 / (f1 - f2) * f3 / (f3 - f2)
+                 - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3))
+        t_min = 0.5 * tol / abs(x1 - x2)
+        t = min(max(t, t_min), 1.0 - t_min)
+    return (x1, x2, evals) if x1 < x2 else (x2, x1, evals)
+
+
+def hashing_point(family: ChannelFamily, tol: float = 1e-12) -> float:
+    """Smallest p with channel entropy exactly 1 bit, by bracketed root
+    (Chandrupatla).
+
+    The entropy rises from 0 at p = 0 to its peak, where it exceeds 1 bit for
+    every family (custom ones by the coefficient floor), so the upcrossing
+    of 1 bit is the only root on [0, entropy_peak(family)].
+    """
+    lo, hi, _ = bracketed_root(lambda p: _family_entropy(family, p) - 1.0,
+                               0.0, entropy_peak(family), tol, f_lo=-1.0)
     return 0.5 * (lo + hi)

@@ -108,7 +108,7 @@ def cmd_threshold(args) -> int:
             "stack": result.stack_spec, "channel": result.family_spec,
             "threshold": result.p_star, "method": result.method,
             "tol": result.tol, "std_error": result.std_error,
-            "stable": result.stable}))
+            "stable": result.stable, "evals": result.evals}))
     else:
         err = f" +- {result.std_error:.2g}" if result.std_error else f" +- {result.tol:.0e}"
         print(f"{result.p_star:.11f}{err}  ({result.method})")
@@ -207,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, with_p=True)
     p.set_defaults(func=cmd_rate)
 
-    p = sub.add_parser("threshold", help="bisect the zero-rate noise level")
+    p = sub.add_parser("threshold",
+                       help="bracketed root (Chandrupatla) of the zero-rate noise level")
     common(p)
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_threshold)

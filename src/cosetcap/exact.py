@@ -141,20 +141,14 @@ def _bit_distribution(site_probs: np.ndarray, masks: np.ndarray, nbits: int) -> 
     return dist
 
 
-def _neg_plogp(p: np.ndarray) -> np.ndarray:
-    from scipy.special import xlogy
-    return -xlogy(p, p)
-
-
 def entropy_from_cells(cells: np.ndarray) -> float:
     """S_RB in bits from a (syndromes, classes) probability array.
 
     Equals both the probability-weighted conditional class entropy and the
     difference between the stabilizer-coset and normalizer-coset entropies.
     """
-    h_cells = float(_neg_plogp(cells).sum())
-    h_synd = float(_neg_plogp(cells.sum(axis=-1)).sum())
-    return (h_cells - h_synd) / math.log(2.0)
+    return float(_row_plogp(cells.sum(axis=-1)[None])[0]
+                 - _row_plogp(cells.reshape(1, -1))[0]) / math.log(2.0)
 
 
 def s_rb_exact(table: CosetTable) -> float:

@@ -6,8 +6,8 @@ The search runs a hand-rolled Nelder-Mead simplex on a two-parameter
 softmax chart of the coefficient simplex, multi-started from three
 near-vertex points plus a fixed quasi-random lattice, with the 0.0001
 coefficient floor enforced by projection.  Each objective evaluation
-solves the inner hashing-point root (warm-started from the previous
-candidate) and evaluates the stack rate there.  No global-optimality claim
+solves the inner hashing-point root on the family's whole rising branch
+and evaluates the stack rate there.  No global-optimality claim
 is made: the result is the best point found.
 """
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelFamily, custom_family, hashing_point
+from .channels import custom_family, hashing_point
 from .capacity import rate
 from .stacks import CodeStack
 
@@ -59,26 +59,6 @@ def _c_to_theta(c) -> np.ndarray:
     return np.array([math.log(c[0] / c[2]), math.log(c[1] / c[2])])
 
 
-@dataclass
-class _HashingCache:
-    """Warm-started hashing-point solver shared across one optimization."""
-
-    last: float | None = None
-
-    def solve(self, family: ChannelFamily) -> float:
-        if self.last is not None:
-            lo = max(0.0, 0.7 * self.last)
-            hi = min(1.0, 1.4 * self.last)
-            try:
-                p = hashing_point(family, bracket=(lo, hi))
-            except ValueError:
-                p = hashing_point(family)
-        else:
-            p = hashing_point(family)
-        self.last = p
-        return p
-
-
 @dataclass(frozen=True)
 class OptimizationResult:
     stack_spec: str
@@ -104,8 +84,7 @@ class OptimizationResult:
         }
 
 
-def nonadditivity_at_hashing(stack: CodeStack, c, cache: _HashingCache | None = None,
-                             **kw) -> tuple[float, float]:
+def nonadditivity_at_hashing(stack: CodeStack, c, **kw) -> tuple[float, float]:
     """(p_hash, rate at p_hash) of the custom channel with coefficients c.
 
     Printed coefficient triples are renormalized exactly before use; at the
@@ -113,7 +92,7 @@ def nonadditivity_at_hashing(stack: CodeStack, c, cache: _HashingCache | None = 
     non-additivity itself.
     """
     family = custom_family(*c, renormalize=True)
-    p_hash = (cache or _HashingCache()).solve(family)
+    p_hash = hashing_point(family)
     return p_hash, rate(stack, family, p_hash, **kw)
 
 
@@ -181,11 +160,9 @@ def optimize_channel(stack: CodeStack, restarts: int = DEFAULT_RESTARTS,
     Ties on the achieved rate break to the lexicographically smallest
     coefficient triple, making the reduction deterministic.
     """
-    cache = _HashingCache()
-
     def objective(theta: np.ndarray) -> float:
         c = _theta_to_c(theta)
-        _, q = nonadditivity_at_hashing(stack, c, cache=cache, **kw)
+        _, q = nonadditivity_at_hashing(stack, c, **kw)
         return -q
 
     trace = []
@@ -195,7 +172,7 @@ def optimize_channel(stack: CodeStack, restarts: int = DEFAULT_RESTARTS,
         theta, f, used = _nelder_mead(objective, _c_to_theta(start), max_evals)
         total_evals += used
         c = _theta_to_c(theta)
-        p_hash, q = nonadditivity_at_hashing(stack, c, cache=cache, **kw)
+        p_hash, q = nonadditivity_at_hashing(stack, c, **kw)
         trace.append({"restart": idx, "start": start, "c": c, "q": q,
                       "p_hash": p_hash, "evals": used})
         key = (-q, c)

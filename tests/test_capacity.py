@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cosetcap.capacity as capacity
 from cosetcap import (ChannelFamily, CodeStack, MonteCarlo, channel_entropy,
                       family_eval, hashing_point, parse_stack_spec, rate,
                       registry_get, sweep, threshold)
@@ -56,6 +57,11 @@ def test_threshold_bracketing_certificate():
     assert hi - lo <= 1e-10
     assert rate(stack, DEPOL, res.p_star - res.tol) > 0.0
     assert rate(stack, DEPOL, res.p_star + res.tol) < 0.0
+
+
+def test_threshold_evaluation_count():
+    res = threshold(parse_stack_spec("repZ(5)"), DEPOL)
+    assert res.evals <= 15
 
 
 def test_threshold_tol_refinement_stable():
@@ -116,6 +122,16 @@ def test_mc_threshold_reports_error_bar():
     assert res.std_error is not None and res.std_error > 0.0
     exact = threshold(parse_stack_spec("repZ(3) x repX(3)"), DEPOL)
     assert abs(res.p_star - exact.p_star) <= 4.0 * res.std_error
+
+
+def test_mc_threshold_counts_error_bar_evaluations(monkeypatch):
+    stack = CodeStack(parse_stack_spec("repZ(3) x repX(3)").layers,
+                      MonteCarlo(samples=2_000, seed=4))
+    calls = []
+    monkeypatch.setattr(capacity, "evaluate_s_rb",
+                        lambda *a, **k: calls.append(a) or evaluate_s_rb(*a, **k))
+    res = threshold(stack, DEPOL, bracket=(0.055, 0.07))
+    assert res.evals == len(calls)
 
 
 def test_evaluate_dispatch_reports_methods():

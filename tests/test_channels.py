@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from cosetcap import (ChannelFamily, PauliChannel, channel_entropy,
                       custom_family, family_eval, hashing_point,
                       parse_channel_spec)
+from cosetcap.channels import bracketed_root, entropy_peak
 
 DEPOL = ChannelFamily("depolarizing")
 INDXZ = ChannelFamily("independent_xz")
@@ -112,3 +113,78 @@ def test_swap_xz():
     sw = ch.swap_xz()
     assert (sw.p_x, sw.p_z) == (ch.p_z, ch.p_x)
     assert channel_entropy(sw) == pytest.approx(channel_entropy(ch))
+
+
+ROOT_TOL = 1e-12
+
+
+def _kinked(x):
+    return 3.0 * (x - 0.3) if x < 0.3 else x - 0.3
+
+
+def _flat_then_steep(x):
+    return -1e-9 if x < 0.7 else 1e6 * (x - 0.7) ** 3
+
+
+@pytest.mark.parametrize("f,lo,hi", [
+    (lambda x: math.exp(x) - 2.0, 0.0, 2.0),  # smooth
+    (_kinked, 0.0, 1.0),
+    (_flat_then_steep, 0.0, 1.0),
+    (lambda x: x - 1.0, 0.0, 1.0),  # root exactly at the upper end
+    (lambda x: x - 0.25 * ROOT_TOL, 0.0, 1.0),  # root inside tol of the lower end
+], ids=["smooth", "kinked", "flat-then-steep", "root-at-hi", "root-near-lo"])
+def test_bracketed_root_certificate(f, lo, hi):
+    values = {}
+
+    def g(x):
+        values[x] = f(x)
+        return values[x]
+
+    a, b, evals = bracketed_root(g, lo, hi, ROOT_TOL)
+    assert evals == len(values)
+    assert 0.0 < b - a <= ROOT_TOL
+    assert a in values and b in values  # both ends were evaluated
+    assert values[a] < 0.0 <= values[b]
+
+
+def test_bracketed_root_reuses_endpoint_values():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x * x - 0.5
+
+    a, b, evals = bracketed_root(f, 0.0, 1.0, ROOT_TOL, f_lo=-0.5, f_hi=0.5)
+    assert 0.0 not in calls and 1.0 not in calls
+    assert evals == len(calls) <= 12
+    assert a <= math.sqrt(0.5) <= b
+
+
+def test_bracketed_root_rejects_unbracketed():
+    with pytest.raises(ValueError):
+        bracketed_root(lambda x: x + 1.0, 0.0, 1.0, ROOT_TOL)
+    with pytest.raises(ValueError):  # f(lo) = 0 is not below zero
+        bracketed_root(lambda x: x, 0.0, 1.0, ROOT_TOL)
+
+
+def test_entropy_peak_named_families():
+    for family, peak, h_peak in ((DEPOL, 0.25, 2.0), (INDXZ, 0.5, 2.0),
+                                 (TWOP, 1.0 / 3.0, math.log2(3.0))):
+        assert entropy_peak(family) == pytest.approx(peak, abs=1e-15)
+        assert channel_entropy(family_eval(family, peak)) == pytest.approx(h_peak)
+
+
+@given(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+def test_custom_entropy_peak_vs_grid(weights):
+    """Closed-form peak against a dense-grid argmax, on floored triples."""
+    w = np.asarray(weights) + 1e-9
+    c = 0.0001 + (1.0 - 0.0003) * w / w.sum()
+    fam = custom_family(*c, renormalize=True)
+    c = np.asarray(fam.coefficients)
+    step = 1e-5
+    ps = np.arange(step, 1.0, step)
+    ent = -(1 - ps) * np.log2(1 - ps) - (c * ps[:, None] * np.log2(c * ps[:, None])).sum(axis=1)
+    peak = entropy_peak(fam)
+    assert abs(peak - ps[np.argmax(ent)]) <= step
+    assert channel_entropy(family_eval(fam, peak)) > 1.0
+    assert hashing_point(fam) < peak

@@ -38,6 +38,7 @@ def test_threshold_output(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["threshold"] == pytest.approx(0.06345202935, abs=1e-9)
     assert payload["method"] == "grouped"
+    assert 0 < payload["evals"] <= 15
 
 
 def test_unknown_code_is_validation_error(capsys):

@@ -106,6 +106,18 @@ def test_s_rb_two_forms_agree(channels25):
             assert direct == pytest.approx(cond, abs=1e-12)
 
 
+def test_entropy_reduction_matches_xlogy():
+    from scipy.special import xlogy
+    for name in ("13cyclic", "steane", "5qubit"):
+        code = registry_get(name)
+        for family in (DEPOL, ChannelFamily("two_pauli")):
+            for p in (0.0, 1e-6, 0.06, 0.2):
+                table = coset_distribution(code, [family_eval(family, p)] * code.n)
+                cells, synd = table.probs, table.syndrome_probs()
+                ref = (xlogy(synd, synd).sum() - xlogy(cells, cells).sum()) / math.log(2.0)
+                assert s_rb_exact(table) == pytest.approx(ref, abs=1e-14)
+
+
 def test_exhaustive_limit():
     code = registry_get("13cyclic")
     with pytest.raises(ExhaustiveLimitError):
