@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Threshold-vs-outer-length curves for long concatenated repetition codes.
 
-Writes one CSV per inner length with columns (m, threshold, stable).  The
+Writes one CSV per inner length with columns (m, threshold).  The
 defaults reproduce the qualitative picture: thresholds rise to a single
 peak in the outer length and then decline, with the inner-5 family peaking
 at 5 x 51 on the depolarizing channel.
@@ -19,19 +19,16 @@ from cosetcap.channels import bracketed_root
 
 
 def estimator_threshold(n, m, family, lo, hi, tol=1e-8):
-    """(p_star, stable) where the estimated S_RB crosses 1, or (None, False)
-    when it does not cross on [lo, hi]; stable holds for every evaluation."""
-    ests = []
-
+    """p_star where the estimated S_RB crosses 1, or None when it does not
+    cross on [lo, hi]."""
     def f(p):
-        ests.append(s_rb_estimate(n, m, family, p))
-        return ests[-1].s_rb - 1.0
+        return s_rb_estimate(n, m, family, p).s_rb - 1.0
 
     try:
         lo, hi, _ = bracketed_root(f, lo, hi, tol)
     except ValueError:
-        return None, False
-    return 0.5 * (lo + hi), all(est.stable for est in ests)
+        return None
+    return 0.5 * (lo + hi)
 
 
 BRACKETS = {"depolarizing": (0.055, 0.0675), "independent_xz": (0.105, 0.118),
@@ -49,14 +46,13 @@ def main() -> int:
         path = f"longrep_{family.kind}_inner{n}.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["m", "threshold", "stable"])
+            writer.writerow(["m", "threshold"])
             for m in DEFAULT_MS:
                 t0 = time.time()
-                p_star, stable = estimator_threshold(n, m, family, lo, hi)
-                writer.writerow([m, f"{p_star:.10f}" if p_star else "", int(stable)])
+                p_star = estimator_threshold(n, m, family, lo, hi)
+                writer.writerow([m, f"{p_star:.10f}" if p_star else ""])
                 fh.flush()
                 print(f"inner {n} x outer {m}: {p_star} "
-                      f"({'stable' if stable else 'UNSTABLE'}) "
                       f"[{time.time() - t0:.1f}s]", flush=True)
         print(f"wrote {path}")
     return 0

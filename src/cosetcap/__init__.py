@@ -1,7 +1,7 @@
 """Coherent-information rates, hashing points and error thresholds of
 stabilizer codes (and their concatenations) over Pauli channels, computed
 from exact coset weight enumerators, closed-form repetition-code
-enumerators, Monte Carlo sampling, and a moment-series and FFT estimator
+enumerators, Monte Carlo sampling, and a moment-series and quadrature estimator
 for long concatenated repetition codes."""
 
 from .pauli import PauliString, anticommutes, pauli_mul, weights

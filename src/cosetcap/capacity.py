@@ -10,8 +10,8 @@ its final bracket.
 Evaluation dispatch, in order:
   * empty stack                       -> channel entropy (method "exact")
   * one or two pure repetition layers -> closed-form multiset enumeration
-    (method "grouped"), falling back to the log-domain FFT estimator when
-    the multiset count exceeds its budget (method "longrep")
+    (method "grouped"), falling back to the long-rep estimator when the
+    multiset count exceeds its budget (method "longrep")
   * Monte Carlo strategy              -> syndrome sampling (method "mc")
   * anything else                     -> effective-channel composition
     (method "grouped"; "exact" for a single layer)
@@ -61,7 +61,7 @@ class Evaluation:
     s_rb: float
     method: str
     std_error: float | None = None
-    stable: bool = True
+    stable: bool = True  # always True; dropped with the benchmark's check of it
 
 
 def _rep_shape(stack: CodeStack):
@@ -100,9 +100,8 @@ def evaluate_s_rb(stack: CodeStack, ch: PauliChannel,
             return Evaluation(s_rb_rep(n, m, ch, inner_type=inner_type,
                                        budget=multiset_budget), "grouped")
         except MultisetBudgetError:
-            chx = ch.swap_xz() if inner_type == "Z" else ch
-            est = s_rb_estimate_channel(n, m, chx)
-            return Evaluation(est.s_rb, "longrep", stable=est.stable)
+            est = s_rb_estimate_channel(n, m, ch, inner_type=inner_type)
+            return Evaluation(est.s_rb, "longrep")
     if len(stack.layers) == 1:
         return Evaluation(s_rb_code(stack.layers[0], ch, limit=limit), "exact")
     return Evaluation(s_rb_stack_exact(stack, ch, limit=limit), "grouped")
@@ -134,7 +133,6 @@ class ThresholdResult:
     tol: float
     bracket: tuple[float, float]
     std_error: float | None = None
-    stable: bool = True
     crossed: bool = True
     evals: int = 0
 
@@ -160,13 +158,10 @@ def threshold(stack: CodeStack, family: ChannelFamily, tol: float = DEFAULT_TOL,
     mc = kw.get("mc") or (stack.strategy if isinstance(stack.strategy, MonteCarlo) else None)
     is_mc = mc is not None
 
-    stable = True
     methods = set()
 
     def f(p: float) -> float:
         ev = evaluate_s_rb(stack, family_eval(family, p), **kw)
-        nonlocal stable
-        stable &= ev.stable
         methods.add(ev.method)
         return ev.s_rb - target
 
@@ -194,8 +189,7 @@ def threshold(stack: CodeStack, family: ChannelFamily, tol: float = DEFAULT_TOL,
               "longrep" if "longrep" in methods else
               "exact" if methods == {"exact"} else "grouped")
     return ThresholdResult(stack.spec(), family.spec(), p_star, method,
-                           eff_tol, (lo, hi), std_error=std_error, stable=stable,
-                           evals=evals)
+                           eff_tol, (lo, hi), std_error=std_error, evals=evals)
 
 
 @dataclass(frozen=True)
@@ -205,7 +199,6 @@ class SweepRow:
     rate: float
     method: str
     std_error: float | None
-    stable: bool
 
 
 def sweep(stack: CodeStack, family: ChannelFamily, p_range: tuple[float, float],
@@ -220,5 +213,5 @@ def sweep(stack: CodeStack, family: ChannelFamily, p_range: tuple[float, float],
         ev = evaluate_s_rb(stack, family_eval(family, p), **kw)
         rows.append(SweepRow(p, ev.s_rb,
                              (stack.k_outer - ev.s_rb) / stack.total_length,
-                             ev.method, ev.std_error, ev.stable))
+                             ev.method, ev.std_error))
     return rows

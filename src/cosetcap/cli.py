@@ -6,7 +6,7 @@ layer first: A x B encodes with B first.  Channels are depol, indxz,
 twopauli, or custom:cX,cY,cZ.
 
 Exit codes: 0 success, 1 regression mismatches, 2 validation error,
-3 numerical failure (no bracket, instability, enumeration budget).
+3 numerical failure (no bracket, enumeration budget).
 """
 
 from __future__ import annotations
@@ -108,12 +108,10 @@ def cmd_threshold(args) -> int:
             "stack": result.stack_spec, "channel": result.family_spec,
             "threshold": result.p_star, "method": result.method,
             "tol": result.tol, "std_error": result.std_error,
-            "stable": result.stable, "evals": result.evals}))
+            "evals": result.evals}))
     else:
         err = f" +- {result.std_error:.2g}" if result.std_error else f" +- {result.tol:.0e}"
         print(f"{result.p_star:.11f}{err}  ({result.method})")
-    if not result.stable:
-        return EXIT_NUMERICAL
     return EXIT_OK
 
 
@@ -138,18 +136,16 @@ def cmd_longrep(args) -> int:
         return EXIT_VALIDATION
     sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        sink.write("p,s_rb,rate,stable\n")
-        unstable = False
+        sink.write("p,s_rb,rate\n")
         for p in ps:
             est = s_rb_estimate(args.inner, args.outer, family, p)
             r = (1.0 - est.s_rb) / (args.inner * args.outer)
-            unstable |= not est.stable
-            sink.write(f"{_fmt(p)},{_fmt(est.s_rb)},{_fmt(r)},{int(est.stable)}\n")
+            sink.write(f"{_fmt(p)},{_fmt(est.s_rb)},{_fmt(r)}\n")
             sink.flush()
     finally:
         if args.out:
             sink.close()
-    return EXIT_NUMERICAL if unstable else EXIT_OK
+    return EXIT_OK
 
 
 def cmd_optimize(args) -> int:

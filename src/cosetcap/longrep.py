@@ -29,19 +29,30 @@ The first SERIES_HEAD terms are summed directly.  The rest is closed by
 Euler-Maclaurin, int_J^inf g - g(J)/2 - g'(J)/12 with g the summand at
 continuous j, the integral taken by composite Gauss-Legendre in
 u = ln(x / J).  The tail matters only when some |q| lies within ~1/J of 1
-(low noise, or short outer codes).  No binning and no FFT: the q side is
-exact to rounding.
+(low noise, or short outer codes).  The q side is exact to rounding.
 
-r side, an FFT convolution power.  The ratios are strictly positive, so
--ln(1 + prod r) is a function of the sum of ln r: per-block atoms are
-binned on a uniform log grid with linear mass splitting (second-order
-accurate), the m-fold convolution power is taken through one FFT
-(transform, pointwise m-th power, inverse), and the expectation of
--ln(1 + e^x) is evaluated on the result with log1p-stable branches.
-r = 0 atoms short-circuit the product (zero channel).  The bin width alpha
-comes from a geometric ladder: the finest scale whose grid fits the bin
-budget is used, and the result is flagged unstable when that forces a
-scale coarser than the stability cap.
+r side, a characteristic-function quadrature.  The ratios are
+non-negative; an r = 0 atom zeroes the product, so with w0 the total
+weight of those atoms E[-ln(1 + prod r)] = -(1 - w0)^m E[ln(1 + e^X)],
+where X is the sum of m i.i.d. draws of Y = ln r over the live atoms
+(weights renormalized).  Since ln(1 + e^x) = x/2 + ln 2 + ln cosh(x/2) and
+the second derivative of ln cosh(x/2), (1/4) sech^2(x/2), has Fourier
+transform pi t / sinh(pi t),
+
+    E[ln(1 + e^X)] = m E[Y] / 2 + ln 2
+                     + int_0^inf (1 - Re phi(t)^m) / (t sinh(pi t)) dt,
+
+phi(t) = sum_i w_i e^(i t Y_i).  The identity is exact.  phi - 1 is
+summed as sum_i w_i (-2 sin^2(t Y_i / 2) + i sin(t Y_i)) and phi^m taken
+through a complex log1p, so the integrand keeps its digits as t -> 0.
+The kernel is below e^-43 at t = 14, where the integral is cut; it is
+taken by 32-point Gauss-Legendre panels, ceil(14 m max|Y| / 2 pi) + 8 of
+them (at least one per period of the fastest oscillation), evaluated in
+fixed-size node blocks.  Against the exact multiset sum the estimate
+agrees to ~3e-14 (m <= 12).  What is left is rounding of the phase
+m t Y and of the m E[Y] / 2 term the integral cancels, ~2.5e-15 m max|Y|
+in S_RB: 4x the panels moves it by ~1e-12 at m = 301 and by up to 6e-11
+at m = 2000, p = 1e-6.
 """
 
 from __future__ import annotations
@@ -51,18 +62,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len, irfft, rfft
 
 from .channels import PauliChannel
 from .rep import block_table
 
-ALPHA_0 = 1e-4
-ALPHA_LADDER_STEPS = 40
-BIN_BUDGET = 1 << 24
-ALPHA_STABLE_MAX = 2e-4
-
 SERIES_HEAD = 1 << 14  # J: moment-series terms summed directly
 _HEAD_CHUNK = 2048
+T_MAX = 14.0          # r-side cut: 1 / (t sinh(pi t)) < e^-43 beyond it
+_R_ORDER = 32         # Gauss-Legendre points per r-side panel
+_NODE_BLOCK = 4096    # r-side nodes evaluated together
 
 
 @dataclass(frozen=True)
@@ -99,15 +107,26 @@ def qr_coefficients(n: int, ch: PauliChannel, inner_type: str = "X") -> QRTable:
 
 
 @functools.cache
+def _unit_rule(order: int):
+    """Gauss-Legendre nodes and weights on [0, 1].  Built on first use: the
+    Legendre roots cost an eigensolve that imports should not pay."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _panels(width: float, first: int, count: int, order: int):
+    """Composite Gauss-Legendre rule on panels first .. first+count-1 of
+    [0, inf) cut at multiples of ``width``."""
+    x, w = _unit_rule(order)
+    start = np.arange(first, first + count, dtype=float)[:, None]
+    return ((start + x) * width).ravel(), np.tile(width * w, count)
+
+
 def _tail_rule():
     """Nodes and weights in u = ln(x / J) on [0, 40]: 80 panels of 24-point
     Gauss-Legendre.  At x = J e^40 ~ 4e21 every |q| < 1 (so
-    |q| <= 1 - 2^-53) has |q|^(2x) = 0 in double precision.  Built on first
-    use: the Legendre roots cost an eigensolve that imports should not pay."""
-    panels, width = 80, 0.5
-    gx, gw = np.polynomial.legendre.leggauss(24)
-    u = ((np.arange(panels)[:, None] + 0.5 * (gx + 1.0)) * width).ravel()
-    return u, np.tile(0.5 * width * gw, panels)
+    |q| <= 1 - 2^-53) has |q|^(2x) = 0 in double precision."""
+    return _panels(0.5, 0, 80, 24)
 
 
 def _series_term(x: np.ndarray, logq: np.ndarray, wq: np.ndarray,
@@ -152,122 +171,73 @@ def expect_neg_log1p_moments(absq: np.ndarray, weights: np.ndarray, m: int) -> f
     return -w1 ** m * math.log(2.0) - (head + tail)
 
 
-@dataclass(frozen=True)
-class LogDistribution:
-    """Binned mass over alpha * integer log-magnitude plus a point mass for
-    exactly-zero magnitudes."""
-
-    alpha: float
-    offset: int          # grid value of bin j is alpha * (offset + j)
-    pos: np.ndarray
-    zero_mass: float
-
-    def total_mass(self) -> float:
-        return float(self.pos.sum()) + self.zero_mass
-
-    def check_invariants(self, tol: float = 1e-9) -> None:
-        if abs(self.total_mass() - 1.0) > tol:
-            raise AssertionError(f"log-distribution mass {self.total_mass()!r} != 1")
+def _one_minus_re_power(t: np.ndarray, logr: np.ndarray, w: np.ndarray,
+                        m: int) -> np.ndarray:
+    """1 - Re phi(t)^m, phi(t) = sum_i w_i e^(i t Y_i), accurate as t -> 0."""
+    ty = np.multiply.outer(t, logr)
+    u_re = (-2.0 * np.sin(0.5 * ty) ** 2) @ w   # Re(phi - 1)
+    u_im = np.sin(ty) @ w
+    # ln|phi|^2 = log1p(2 Re u + |u|^2); from |phi|^2 itself where phi is
+    # small, so that rounding cannot push the log1p argument below -1
+    s = 2.0 * u_re + u_re * u_re + u_im * u_im
+    abs2 = np.maximum((1.0 + u_re) ** 2 + u_im * u_im, np.finfo(float).tiny)
+    ln_abs2 = np.where(s > -0.5, np.log1p(np.maximum(s, -0.5)), np.log(abs2))
+    a = 0.5 * m * ln_abs2
+    b = m * np.arctan2(u_im, 1.0 + u_re)
+    return -(np.expm1(a) * np.cos(b) - 2.0 * np.sin(0.5 * b) ** 2)
 
 
-def bin_atoms(log_values: np.ndarray, weights: np.ndarray, alpha: float,
-              zero_mass: float = 0.0) -> LogDistribution:
-    """Linear-split binning of weighted atoms onto the alpha grid.
+def expect_neg_log1p_positive(logr: np.ndarray, weights: np.ndarray, m: int,
+                              refine: int = 1) -> float:
+    """E[-ln(1 + prod r)] over m draws of atoms r = e^logr > 0.
 
-    Splitting each atom between its two neighbouring grid points preserves
-    the first moment exactly and makes the binning error second order in
-    alpha for smooth integrands.
+    ``weights`` may sum to less than 1: the missing mass is r = 0, which
+    zeroes the product.  ``refine`` multiplies the panel count (a
+    self-check of the quadrature).
     """
-    if log_values.size == 0:
-        return LogDistribution(alpha, 0, np.zeros(1), zero_mass)
-    scaled = log_values / alpha
-    lo = np.floor(scaled).astype(np.int64)
-    frac = scaled - lo
-    offset = int(lo.min())
-    pos = np.zeros(int(lo.max()) - offset + 2)
-    np.add.at(pos, lo - offset, weights * (1.0 - frac))
-    np.add.at(pos, lo - offset + 1, weights * frac)
-    return LogDistribution(alpha, offset, pos, zero_mass)
-
-
-def convolve_power(dist: LogDistribution, m: int) -> LogDistribution:
-    """Distribution of the sum of log magnitudes over m draws."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m == 1:
-        return dist
-    zero_out = 1.0 - float(dist.pos.sum()) ** m
-    out_len = (dist.pos.shape[0] - 1) * m + 1
-    nfft = next_fast_len(out_len)
-    pos = irfft(rfft(dist.pos, nfft) ** m, nfft)[:out_len]
-    np.clip(pos, 0.0, None, out=pos)
-    return LogDistribution(dist.alpha, dist.offset * m, pos, zero_out)
-
-
-def expect_neg_log1p_signed(dist: LogDistribution) -> float:
-    """E[-ln(1 + e^x)] over the binned distribution; the zero channel
-    contributes -ln(1 + 0) = 0."""
-    x = dist.alpha * (dist.offset + np.arange(dist.pos.shape[0]))
-    term = np.where(x > 0.0, -(x + np.log1p(np.exp(-np.clip(x, 0.0, None)))),
-                    -np.log1p(np.exp(np.clip(x, None, 0.0))))
-    return float(dist.pos @ term)
-
-
-def _pick_alpha(span: float, alpha0: float = ALPHA_0,
-                budget: int = BIN_BUDGET) -> float:
-    """Finest scale of the geometric ladder alpha0 * 2^j whose grid fits."""
-    alpha = alpha0
-    for _ in range(ALPHA_LADDER_STEPS):
-        if span / alpha <= budget:
-            return alpha
-        alpha *= 2.0
-    return alpha
+    if logr.size == 0:
+        return 0.0
+    live_mass = float(weights.sum())
+    w = weights / live_mass
+    panels = refine * (math.ceil(T_MAX * m * float(np.abs(logr).max())
+                                 / (2.0 * math.pi)) + 8)
+    width = T_MAX / panels
+    per_block = _NODE_BLOCK // _R_ORDER
+    integral = 0.0
+    for first in range(0, panels, per_block):
+        t, wt = _panels(width, first, min(per_block, panels - first), _R_ORDER)
+        kernel = wt / (t * np.sinh(np.pi * t))
+        integral += float(kernel @ _one_minus_re_power(t, logr, w, m))
+    mean = 0.5 * m * float(w @ logr) + math.log(2.0) + integral
+    return -live_mass ** m * mean
 
 
 @dataclass(frozen=True)
 class LongRepEstimate:
     s_rb: float
-    stable: bool
-    alpha_r: float
+    stable: bool = True  # always True; dropped with the benchmark's check of it
 
 
 def s_rb_estimate_channel(n: int, m: int, ch: PauliChannel,
-                          inner_type: str = "X",
-                          alpha0: float = ALPHA_0,
-                          bin_budget: int = BIN_BUDGET) -> LongRepEstimate:
+                          inner_type: str = "X") -> LongRepEstimate:
     """Estimated S_RB (bits) of the n x m concatenated repetition code."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     table = qr_coefficients(n, ch, inner_type=inner_type)
     w = table.weight.ravel()
     q = table.q.ravel()
     r = table.r.ravel()
     live = w > 0.0
     w, q, r = w[live], q[live], r[live]
-
-    if m == 1:  # single block: both expectations are finite sums
-        e_q = float(w @ -np.log1p(q))
-        e_r = float(w @ -np.log1p(r))
-        return LongRepEstimate(1.0 + (e_q - e_r) / math.log(2.0), True, alpha0)
-
     e_q = expect_neg_log1p_moments(np.abs(q), w, m)
-
-    # r side: strictly positive ratios, no truncation of the upper tail
-    logr = np.log(np.where(r > 0.0, r, 1.0))
-    zero_r = r <= 0.0
-    span_r = max((float(logr.max()) - float(logr.min())) * m, 1.0)
-    alpha_r = _pick_alpha(span_r, alpha0, bin_budget)
-    dist_r = bin_atoms(logr[~zero_r], w[~zero_r], alpha_r, float(w[zero_r].sum()))
-    e_r = expect_neg_log1p_signed(convolve_power(dist_r, m))
-
-    s_rb = 1.0 + (e_q - e_r) / math.log(2.0)
-    return LongRepEstimate(s_rb, alpha_r <= ALPHA_STABLE_MAX, alpha_r)
+    pos = r > 0.0
+    e_r = expect_neg_log1p_positive(np.log(r[pos]), w[pos], m)
+    return LongRepEstimate(1.0 + (e_q - e_r) / math.log(2.0))
 
 
 def s_rb_estimate(n: int, m: int, family, p: float,
-                  inner_type: str = "X",
-                  alpha0: float = ALPHA_0,
-                  bin_budget: int = BIN_BUDGET) -> LongRepEstimate:
+                  inner_type: str = "X") -> LongRepEstimate:
     """Estimator entry point on a channel family at parameter p."""
     from .channels import family_eval
     return s_rb_estimate_channel(n, m, family_eval(family, p),
-                                 inner_type=inner_type, alpha0=alpha0,
-                                 bin_budget=bin_budget)
+                                 inner_type=inner_type)

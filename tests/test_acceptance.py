@@ -198,9 +198,9 @@ def test_criterion6_estimator_vs_exact_near_thresholds():
                     ch = family_eval(family, p)
                     est = s_rb_estimate(n, m, family, p)
                     worst = max(worst, abs(est.s_rb - s_rb_rep(n, m, ch)))
-    print(f"[acceptance] {'PASS' if worst <= 1e-5 else 'FAIL'} c6 estimator vs "
-          f"exact (m <= 12): worst |diff| {worst:.2e} tol 1e-5")
-    assert worst <= 1e-5
+    print(f"[acceptance] {'PASS' if worst <= 1e-12 else 'FAIL'} c6 estimator vs "
+          f"exact (m <= 12): worst |diff| {worst:.2e} tol 1e-12")
+    assert worst <= 1e-12
 
 
 @pytest.mark.parametrize("n,m,family,bracket,expected", [

@@ -96,12 +96,11 @@ def test_longrep_row(capsys):
                 "--p", "0.06"])
     assert code == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "p,s_rb,rate,stable"
-    p, s_rb, rr, stable = lines[1].split(",")
-    assert stable == "1"
+    assert lines[0] == "p,s_rb,rate"
+    p, s_rb, rr = lines[1].split(",")
     from cosetcap import ChannelFamily, family_eval, s_rb_rep
     want = s_rb_rep(3, 4, family_eval(ChannelFamily("depolarizing"), 0.06))
-    assert float(s_rb) == pytest.approx(want, abs=1e-5)
+    assert float(s_rb) == pytest.approx(want, abs=1e-12)
 
 
 def test_longrep_needs_p_or_range(capsys):

@@ -5,8 +5,12 @@ import pytest
 
 from cosetcap import (ChannelFamily, block_table, family_eval, qr_coefficients,
                       s_rb_estimate, s_rb_rep)
-from cosetcap.longrep import (bin_atoms, convolve_power, expect_neg_log1p_moments,
+from cosetcap.longrep import (expect_neg_log1p_moments, expect_neg_log1p_positive,
                               s_rb_estimate_channel)
+from cosetcap.rep import MultisetBudgetError
+
+# a NaN, overflow or divide in the quadrature or the series fails the suite
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 DEPOL = ChannelFamily("depolarizing")
 FAMILIES = [ChannelFamily("depolarizing"), ChannelFamily("independent_xz"),
@@ -42,16 +46,13 @@ def test_qr_even_block_midpoint_is_zero():
     assert table.q[0, 2] == 0.0 and table.q[1, 2] == 0.0
 
 
-def test_convolve_power_identity_cases():
-    dist = bin_atoms(np.array([-0.3, -1.2]), np.array([0.7, 0.3]), 1e-3)
-    assert convolve_power(dist, 1) is dist
-    point = bin_atoms(np.array([0.0]), np.array([1.0]), 1e-3)
-    out = convolve_power(point, 17)
-    assert out.total_mass() == pytest.approx(1.0, abs=1e-12)
-    x = out.alpha * (out.offset + np.arange(out.pos.size))
-    assert out.pos[np.argmin(np.abs(x))] == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        convolve_power(point, 0)
+def _block_atoms(n, ch):
+    """Block table h, h-sums a = h_k + h_{n-k}, cell weights w and the mask
+    of cells with w > 0."""
+    h = block_table(n, "X", ch).h
+    comb = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+    w = (h * comb).ravel() / (h * comb).sum()
+    return h, h + h[:, ::-1], w, w > 0.0
 
 
 def _enumerated_q_term(n, m, ch):
@@ -61,11 +62,7 @@ def _enumerated_q_term(n, m, ch):
     as 2 min(h_k, h_{n-k}) / a, so 1 + prod q stays accurate where q
     rounds to -1 at low noise.
     """
-    h = block_table(n, "X", ch).h
-    a = h + h[:, ::-1]
-    comb = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
-    w = (h * comb).ravel() / (h * comb).sum()
-    live = w > 0.0
+    h, a, w, live = _block_atoms(n, ch)
     sign = np.sign(h - h[:, ::-1]).ravel()[live]
     with np.errstate(divide="ignore"):  # q = 0 at k = n/2
         log_abs = np.log1p(-2.0 * np.minimum(h, h[:, ::-1]).ravel()[live]
@@ -77,6 +74,52 @@ def _enumerated_q_term(n, m, ch):
         log_prod = np.add.outer(log_prod, log_abs).ravel()
     one_plus = np.where(prod_sign > 0.0, 1.0 + np.exp(log_prod), -np.expm1(log_prod))
     return float(weight @ -np.log(one_plus))
+
+
+def _enumerated_r_term(n, m, ch):
+    """E[-ln(1 + prod r)] by direct enumeration of all (b, k)^m outcomes,
+    from the block table: r = a(1-b) / a(b), and r = 0 zeroes the product."""
+    _, a, w, live = _block_atoms(n, ch)
+    with np.errstate(divide="ignore"):  # r = 0 where a(1-b) vanishes
+        log_r = np.log(a[::-1].ravel()[live]) - np.log(a.ravel()[live])
+    weight, log_prod = np.ones(1), np.zeros(1)
+    for _ in range(m):
+        weight = np.multiply.outer(weight, w[live]).ravel()
+        log_prod = np.add.outer(log_prod, log_r).ravel()
+    return float(weight @ -np.logaddexp(0.0, log_prod))
+
+
+def _r_side(n, m, ch, refine=1):
+    table = qr_coefficients(n, ch)
+    w, r = table.weight.ravel(), table.r.ravel()
+    pos = (w > 0.0) & (r > 0.0)
+    return expect_neg_log1p_positive(np.log(r[pos]), w[pos], m, refine=refine)
+
+
+def test_positive_expectation_matches_enumeration():
+    # the characteristic-function quadrature against every (k, b)^m outcome,
+    # from p = 0 (every live r is 0) to p = 0.2
+    worst = 0.0
+    for fam in FAMILIES:
+        for p in (0.0, 1e-6, 1e-3, 0.02, 0.0637, 0.11, 0.2):
+            ch = family_eval(fam, p)
+            for n in range(1, 6):
+                for m in range(1, 5):
+                    worst = max(worst, abs(_r_side(n, m, ch) - _enumerated_r_term(n, m, ch)))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("n,m,fam,p,tol", [
+    (7, 61, "depolarizing", 1e-6, 1e-12),
+    (7, 301, "depolarizing", 0.0635, 1e-12),
+    (5, 501, "independent_xz", 0.112, 1e-12),
+    (3, 2000, "independent_xz", 0.112, 5e-11)])
+def test_r_side_node_refinement(n, m, fam, p, tol):
+    # 4x the panels moves S_RB by no more than rounding, whose floor grows
+    # as m max|ln r|
+    ch = family_eval(ChannelFamily(fam), p)
+    shift = abs(_r_side(n, m, ch, refine=4) - _r_side(n, m, ch)) / math.log(2.0)
+    assert shift <= tol
 
 
 def test_convolved_expectation_matches_enumeration():
@@ -118,13 +161,15 @@ def test_signed_distribution_invariants():
         for m in (1, 2, 7, 100):
             got = expect_neg_log1p_moments(np.array([c]), np.array([1.0]), m)
             assert got == pytest.approx(_sign_averaged(c ** m), abs=1e-14)
-    # r side: the convolution power keeps unit, non-negative mass
-    dist = bin_atoms(np.array([-0.2, 0.9, 2.0]), np.array([0.5, 0.3, 0.1]), 1e-4,
-                     zero_mass=0.1)
-    dist.check_invariants()
-    conv = convolve_power(dist, 9)
-    conv.check_invariants()
-    assert conv.pos.min() >= 0.0
+    # one r atom of weight 1 - w0 next to an r = 0 mass w0: the product is
+    # r^m with probability (1 - w0)^m and 0 otherwise.  The m E[Y] / 2 term
+    # cancels against the integral, an absolute floor of ~eps * m |ln r|
+    for logr in (-30.0, -2.0, 0.0, 0.7, 25.0):
+        for w0 in (0.0, 0.4):
+            for m in (1, 2, 7, 100):
+                got = expect_neg_log1p_positive(np.array([logr]), np.array([1.0 - w0]), m)
+                want = -(1.0 - w0) ** m * np.logaddexp(0.0, m * logr)
+                assert got == pytest.approx(want, rel=1e-13, abs=1e-15 * m * abs(logr))
 
 
 def test_estimate_m1_reduces_to_block_value():
@@ -132,7 +177,7 @@ def test_estimate_m1_reduces_to_block_value():
         ch = family_eval(fam, 0.09)
         for n in (3, 4, 5):
             est = s_rb_estimate_channel(n, 1, ch)
-            assert est.s_rb == pytest.approx(s_rb_rep(n, 1, ch), abs=1e-7)
+            assert est.s_rb == pytest.approx(s_rb_rep(n, 1, ch), abs=1e-12)
 
 
 @pytest.mark.parametrize("fam,p_lo,p_hi", [
@@ -146,21 +191,7 @@ def test_estimator_matches_exact_near_thresholds(fam, p_lo, p_hi):
             for p in (p_lo, 0.5 * (p_lo + p_hi), p_hi):
                 ch = family_eval(family, p)
                 est = s_rb_estimate_channel(n, m, ch)
-                assert est.stable
-                assert est.s_rb == pytest.approx(s_rb_rep(n, m, ch), abs=1e-5)
-
-
-def test_estimator_alpha_self_consistency():
-    ch = family_eval(DEPOL, 0.0637)
-    a = s_rb_estimate_channel(5, 51, ch, alpha0=1e-4)
-    b = s_rb_estimate_channel(5, 51, ch, alpha0=5e-5)
-    assert abs(a.s_rb - b.s_rb) < 1e-7
-
-
-def test_estimator_flags_budget_starved_runs():
-    ch = family_eval(DEPOL, 0.0637)
-    est = s_rb_estimate_channel(5, 2000, ch, bin_budget=1 << 12)
-    assert not est.stable
+                assert est.s_rb == pytest.approx(s_rb_rep(n, m, ch), abs=1e-12)
 
 
 def test_expected_neg_log_q_term_is_nonpositive():
@@ -185,24 +216,41 @@ def test_long_outer_code_stays_finite():
     table = qr_coefficients(5, ch)
     term = expect_neg_log1p_moments(np.abs(table.q.ravel()), table.weight.ravel(), 2000)
     assert math.isfinite(term) and term <= 0.0
-    est = s_rb_estimate_channel(5, 2000, ch, bin_budget=1 << 16)
+    est = s_rb_estimate_channel(5, 2000, ch)
     assert math.isfinite(est.s_rb)
 
 
 def test_estimator_matches_exact_across_p():
-    # from p = 0 through the thresholds: the q side is exact, so what is
-    # left is the r side's binning error
+    # from p = 0 through the thresholds: both sides are exact, so the
+    # multiset sum and the estimator differ by rounding alone
     for fam in FAMILIES:
         for p in (0.0, 1e-6, 1e-3, 0.02, 0.06, 0.11):
             ch = family_eval(fam, p)
             for n in (3, 5, 7):
                 for m in (2, 5, 12):
                     est = s_rb_estimate_channel(n, m, ch)
-                    assert est.stable
-                    assert est.s_rb == pytest.approx(s_rb_rep(n, m, ch), abs=1e-8)
+                    assert est.s_rb == pytest.approx(s_rb_rep(n, m, ch), abs=1e-12)
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.kind)
+def test_estimator_edge_channels(fam):
+    # p = 0 (no live r atoms) and the family's maximal noise: finite, within
+    # the 2-bit ceiling, and the multiset sum wherever it fits its budget.
+    # At m = 2000 that sum carries ~1e-12 of rounding (above 2 bits for n = 1
+    # at maximal indxz noise), hence its looser bound.
+    for p in (0.0, fam.p_max() - 1e-9):
+        ch = family_eval(fam, p)
+        for n in (1, 3, 5):
+            for m in (1, 2, 2000):
+                s_rb = s_rb_estimate_channel(n, m, ch).s_rb
+                assert math.isfinite(s_rb) and -1e-12 <= s_rb <= 2.0 + 1e-12
+                try:
+                    exact = s_rb_rep(n, m, ch)
+                except MultisetBudgetError:
+                    continue
+                assert s_rb == pytest.approx(exact, abs=1e-12 if m <= 2 else 1e-11)
 
 
 def test_estimate_family_entry_point():
     est = s_rb_estimate(5, 51, DEPOL, 0.0637338273)
     assert est.s_rb == pytest.approx(1.0, abs=1e-6)
-    assert est.stable
