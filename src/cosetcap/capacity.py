@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .channels import (ChannelFamily, PauliChannel, bracketed_root, channel_entropy,
                        entropy_peak, family_eval, hashing_point)
-from .codes import StabilizerCode
+from .codes import rep_type_of
 from .exact import EXHAUSTIVE_LIMIT, s_rb_code
 from .longrep import s_rb_estimate_channel
 from .rep import MULTISET_BUDGET, MultisetBudgetError, s_rb_rep
@@ -35,25 +35,6 @@ DEFAULT_TOL = 1e-10
 
 class NoThresholdError(RuntimeError):
     """The rate does not change sign on the search bracket."""
-
-
-def rep_type_of(code: StabilizerCode) -> str | None:
-    """'X' or 'Z' when the code is an [[n,1]] single-type repetition code.
-
-    Identified structurally: n-1 independent generators of one pure letter
-    type, each of even weight, span exactly the even-weight subgroup.
-    """
-    if code.k != 1 or code.n < 2 or not code.generators:
-        return None
-    # a validated k=1 code has generator rank n-1; pure-type even-weight
-    # generators then necessarily span the whole even-weight subgroup
-    for typ, bits in (("Z", "z_bits"), ("X", "x_bits")):
-        other = "x_bits" if typ == "Z" else "z_bits"
-        if all(getattr(g, other) == 0 and
-               bin(getattr(g, bits)).count("1") % 2 == 0
-               for g in code.generators):
-            return typ
-    return None
 
 
 @dataclass(frozen=True)

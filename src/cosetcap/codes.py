@@ -40,7 +40,6 @@ class StabilizerCode:
     generators: tuple[PauliString, ...]
     logical_x: tuple[PauliString, ...]
     logical_z: tuple[PauliString, ...]
-    permutation_symmetric: bool = False
 
     @property
     def num_checks(self) -> int:
@@ -55,7 +54,6 @@ class StabilizerCode:
             tuple(sw(g) for g in self.generators),
             tuple(sw(p) for p in self.logical_z),
             tuple(sw(p) for p in self.logical_x),
-            self.permutation_symmetric,
         )
 
 
@@ -107,7 +105,7 @@ def validate_code(code: StabilizerCode) -> None:
                     f"{code.name}: logical pairing broken at X[{i}], Z[{j}]")
 
 
-def parse_code(text: str, permutation_symmetric: bool = False) -> StabilizerCode:
+def parse_code(text: str) -> StabilizerCode:
     """Parse and validate a code file; failures abort with the violated invariant."""
     name = None
     n = k = None
@@ -132,8 +130,7 @@ def parse_code(text: str, permutation_symmetric: bool = False) -> StabilizerCode
             raise CodeValidationError(f"line {lineno}: malformed code line {raw!r}")
     if name is None or n is None:
         raise CodeValidationError("code file missing name or nk line")
-    code = StabilizerCode(name, n, k, tuple(gens), tuple(lx), tuple(lz),
-                          permutation_symmetric=permutation_symmetric)
+    code = StabilizerCode(name, n, k, tuple(gens), tuple(lx), tuple(lz))
     validate_code(code)
     return code
 
@@ -164,10 +161,30 @@ def make_repetition_code(n: int, stabilizer_type: str) -> StabilizerCode:
         lx, lz = PauliString(n, full, 0), PauliString(n, 0, 1)
     else:
         lx, lz = PauliString(n, 1, 0), PauliString(n, 0, full)
-    code = StabilizerCode(f"rep{stabilizer_type}({n})", n, 1, tuple(gens), (lx,), (lz,),
-                          permutation_symmetric=True)
+    code = StabilizerCode(f"rep{stabilizer_type}({n})", n, 1, tuple(gens), (lx,), (lz,))
     validate_code(code)
     return code
+
+
+def rep_type_of(code: StabilizerCode) -> str | None:
+    """'X' or 'Z' when the code is an [[n,1]] single-type repetition code.
+
+    Identified structurally: n-1 independent generators of one pure letter
+    type, each of even weight, span exactly the even-weight subgroup.  Every
+    site permutation fixes that stabilizer group, so it permutes the
+    stabilizer and normalizer cosets and leaves S_RB unchanged.
+    """
+    if code.k != 1 or code.n < 2 or not code.generators:
+        return None
+    # a validated k=1 code has generator rank n-1; pure-type even-weight
+    # generators then necessarily span the whole even-weight subgroup
+    for typ, bits in (("Z", "z_bits"), ("X", "x_bits")):
+        other = "x_bits" if typ == "Z" else "z_bits"
+        if all(getattr(g, other) == 0 and
+               bin(getattr(g, bits)).count("1") % 2 == 0
+               for g in code.generators):
+            return typ
+    return None
 
 
 def trivial_code() -> StabilizerCode:
@@ -180,10 +197,6 @@ _BUNDLED = ("3repX", "3repZ", "4repZ", "5repZ", "7repX", "5qubit", "steane",
             "tailored713H", "613H", "cdSteaneH", "scfH", "shor", "11qubit",
             "13cyclic", "biased9", "biased13", "422", "toric822")
 
-# bundled repetition-code files are permutation symmetric like generated ones
-_BUNDLED_REP = {"3repX": ("X", 3), "3repZ": ("Z", 3), "4repZ": ("Z", 4),
-                "5repZ": ("Z", 5), "7repX": ("X", 7)}
-
 _cache: dict[str, StabilizerCode] = {}
 
 
@@ -194,7 +207,7 @@ def registry_names() -> tuple[str, ...]:
 def _load_bundled(name: str) -> StabilizerCode:
     res = importlib.resources.files("cosetcap.data.codes").joinpath(f"{name}.code")
     text = res.read_text(encoding="utf-8")
-    return parse_code(text, permutation_symmetric=name in _BUNDLED_REP)
+    return parse_code(text)
 
 
 def _parse_rep_name(name: str) -> tuple[str, int] | None:

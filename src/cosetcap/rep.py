@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 from .channels import PauliChannel
 
@@ -179,13 +179,6 @@ def _grouped_block(bt: BlockTable) -> _GroupedBlock:
                          np.array(log_r), np.array(zero_r, dtype=bool))
 
 
-def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(y)
-    nz = x > 0.0
-    out[nz] = x[nz] * np.log(y[nz])
-    return out
-
-
 def s_rb_rep(n: int, m: int, ch: PauliChannel, inner_type: str = "X",
              budget: int = MULTISET_BUDGET) -> float:
     """Exact S_RB (bits) of the n x m concatenated repetition code.
@@ -218,6 +211,6 @@ def s_rb_rep(n: int, m: int, ch: PauliChannel, inner_type: str = "X",
         r_hat_log[counts[:, g.zero_r].sum(axis=1) > 0] = -np.inf
     # phi_q = E[-ln(1 + prod q) | counts]: the magnitude Q is fixed by the
     # counts and the sign is + with probability (1+Q)/2
-    phi_q = -0.5 * (_xlogy(1.0 + q_hat, 1.0 + q_hat) + _xlogy(1.0 - q_hat, 1.0 - q_hat))
+    phi_q = -0.5 * (xlogy(1.0 + q_hat, 1.0 + q_hat) + xlogy(1.0 - q_hat, 1.0 - q_hat))
     phi_r = -np.logaddexp(0.0, r_hat_log)
     return 1.0 + float(w @ (phi_q - phi_r)) / math.log(2.0)

@@ -10,21 +10,20 @@ the next layer's qubits, and
     S_RB(stack) = sum over assignments  P(assignment) * S_RB(outer layers).
 
 Syndromes of a layer whose conditional logical channels coincide (within a
-tolerance) are grouped; for permutation-symmetric layers assignments are
-grouped further into multisets with multinomial weights.  Neither grouping
-changes the value.  When exact enumeration exceeds the budget, the Monte
-Carlo path samples assignments from their product distribution and
-evaluates the outermost layer exactly per sample.
+tolerance) are grouped.  Repetition layers, recognised from their
+generators (``codes.rep_type_of``), have a stabilizer group that every site
+permutation fixes, so their assignments are grouped further into multisets
+with multinomial weights.  Neither grouping changes the value.  When exact
+enumeration exceeds the budget, the Monte Carlo path samples assignments
+from their product distribution and evaluates the outermost layer exactly
+per sample.
 
-Every layer is evaluated in the Walsh domain, where the XOR convolution of
-per-site letter distributions over classification bits is a pointwise
-product of spectra.  Each site of a layer takes one of E input channels,
-so the (n, E, 2^bits) table of their spectra is built once per layer;
+Every layer goes through the Walsh engine of ``exact``.  Each site of a
+layer takes one of E input channels, so the (n, E, 2^bits) table of their
+spectra is built once per layer from the code's character table;
 enumerated assignments multiply rows of it, and product layers reuse the
 products of every combination of their last sites as one block.  Sampled
-rows take one 4-column matmul per site.  The inverse transform is H_a X H_b
-on an (a, b) reshape of the 2^bits points, two matmuls with Sylvester
-factors.
+rows are evaluated in blocks of rows by per-site matmuls.
 """
 
 from __future__ import annotations
@@ -37,14 +36,13 @@ import numpy as np
 from scipy.special import gammaln
 
 from .channels import PauliChannel, channel_entropy
-from .codes import StabilizerCode, registry_get, validate_code
-from .exact import (CLASS_OF_LETTER, EXHAUSTIVE_LIMIT, batched_s_rb,
-                    coset_distribution)
+from .codes import StabilizerCode, registry_get, rep_type_of, validate_code
+from .exact import (CLASS_OF_LETTER, EXHAUSTIVE_LIMIT, _batched_cells, _cells,
+                    _site_signs, batched_s_rb, coset_distribution)
 from .pauli import PauliString, pauli_mul
 
 ASSIGNMENT_BUDGET = 100_000_000
-_CHUNK_ELEMS = 1 << 19  # spectrum elements per enumerated chunk
-_WHT_BLOCK = 1 << 16  # elements per row block of the inverse transform
+_CHUNK_ELEMS = 1 << 19  # spectrum elements per enumerated chunk or sampled block
 _GROUP_TOL = 1e-12
 
 
@@ -167,105 +165,6 @@ def _merge_entries(weights: np.ndarray, channels: np.ndarray,
     return EffectiveChannelSet(w[order], ch[order])
 
 
-_sign_cache: dict = {}
-_hadamard_cache: dict = {}
-
-
-def _parity_table(nbits: int) -> np.ndarray:
-    """parity[v] = popcount(v) mod 2 for every v < 2^nbits."""
-    parity = np.zeros(1, dtype=np.int8)
-    for _ in range(nbits):
-        parity = np.concatenate([parity, parity ^ 1])
-    return parity
-
-
-def _site_sign_matrices(code: StabilizerCode) -> np.ndarray:
-    """(n, 4, 2^bits) Walsh characters of each site's letter bit-masks."""
-    from .exact import _letter_bit_masks
-    key = (code.n, code.k,
-           tuple((g.x_bits, g.z_bits) for g in code.generators),
-           tuple((p.x_bits, p.z_bits) for p in (*code.logical_x, *code.logical_z)))
-    cached = _sign_cache.get(key)
-    if cached is not None:
-        return cached
-    nbits = len(code.generators) + 2 * code.k
-    chi = np.arange(1 << nbits)
-    parity = _parity_table(nbits)[chi & _letter_bit_masks(code)[:, :, None]]
-    signs = 1.0 - 2.0 * parity
-    _sign_cache[key] = signs
-    if len(_sign_cache) > 64:
-        _sign_cache.pop(next(iter(_sign_cache)))
-    return signs
-
-
-def _hadamard_factors(bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sylvester factors (H_a / 2^bits, H_b) with a * b = 2^bits, a >= b."""
-    cached = _hadamard_cache.get(bits)
-    if cached is None:
-        sylvester = [np.ones((1, 1))]
-        for _ in range(bits - bits // 2):
-            h = sylvester[-1]
-            sylvester.append(np.block([[h, h], [h, -h]]))
-        cached = (sylvester[bits - bits // 2] / (1 << bits), sylvester[bits // 2])
-        _hadamard_cache[bits] = cached
-    return cached
-
-
-def _inverse_wht(arr: np.ndarray) -> np.ndarray:
-    """In-place inverse Walsh-Hadamard transform along the last axis.
-
-    On the (a, b) reshape of 2^bits points the Sylvester matrix factors as
-    H_a (x) H_b, so each row transforms as H_a X H_b / 2^bits: two matmuls
-    per block of rows, through one block-sized scratch buffer.  ``arr``
-    must be C-contiguous; it is returned.
-    """
-    if not arr.flags.c_contiguous:
-        raise ValueError("_inverse_wht transforms C-contiguous arrays in place")
-    size = arr.shape[-1]
-    ha, hb = _hadamard_factors(size.bit_length() - 1)
-    a, b = ha.shape[0], hb.shape[0]
-    flat = arr.reshape(-1, size)
-    rows = max(1, _WHT_BLOCK // size)
-    scratch = np.empty((min(rows, flat.shape[0]), a, b))
-    for start in range(0, flat.shape[0], rows):
-        block = flat[start:start + rows].reshape(-1, a, b)
-        tmp = scratch[:block.shape[0]]
-        np.matmul(block.reshape(-1, b), hb, out=tmp.reshape(-1, b))
-        np.matmul(ha, tmp, out=block)
-    return arr
-
-
-def _cells(code: StabilizerCode, spec: np.ndarray) -> np.ndarray:
-    """Coset cells (A, S, C) of a batch of Walsh spectra (A, 2^bits).
-
-    The spectra are transformed in place; the cells are a transposed view
-    of them, contiguous as (A, C, S).
-    """
-    dist = _inverse_wht(spec)
-    np.clip(dist, 0.0, None, out=dist)
-    return dist.reshape(spec.shape[0], 4 ** code.k,
-                        2 ** len(code.generators)).transpose(0, 2, 1)
-
-
-def _batched_cells(code: StabilizerCode, chans: np.ndarray) -> np.ndarray:
-    """Coset cells for per-row site channels: chans (A, n, 4) -> (A, S, C).
-
-    The XOR convolution over sites is a pointwise product in the Walsh
-    domain: one 4-column matmul per site and block of rows, one inverse
-    transform at the end.  Used for sampled rows; enumerated assignments
-    use ``_layer_batches``.
-    """
-    signs = _site_sign_matrices(code)
-    spec = np.empty((chans.shape[0], signs.shape[-1]))
-    rows = max(1, _WHT_BLOCK // signs.shape[-1])
-    for start in range(0, spec.shape[0], rows):
-        block, sites = spec[start:start + rows], chans[start:start + rows]
-        np.matmul(sites[:, 0, :], signs[0], out=block)
-        for i in range(1, code.n):
-            block *= sites[:, i, :] @ signs[i]
-    return _cells(code, spec)
-
-
 def _conditional_channels(cells: np.ndarray):
     """Per-syndrome weights and conditional logical channels (k = 1 layers)."""
     synd = cells.sum(axis=-1)
@@ -314,17 +213,17 @@ def _layer_batches(layer: StabilizerCode, entries: EffectiveChannelSet,
     ``entries`` to the sites of ``layer``.
 
     ``table[i, e]`` is the spectrum of entry e on site i.  Multiset
-    assignments multiply rows gathered from it.  The product of all E^n
-    assignments is enumerated in lexicographic order, last site fastest: the
-    products of every combination of the last sites form one block of at
-    most ``chunk`` rows, built once, and each chunk is a few prefix
-    products times that block, one multiply per element.
+    assignments of repetition layers multiply rows gathered from it.  The
+    product of all E^n assignments is enumerated in lexicographic order,
+    last site fastest: the products of every combination of the last sites
+    form one block of at most ``chunk`` rows, built once, and each chunk is
+    a few prefix products times that block, one multiply per element.
     """
-    table = entries.channels @ _site_sign_matrices(layer)  # (n, E, 2^bits)
+    table = entries.channels @ _site_signs(layer)  # (n, E, 2^bits)
     logw_entry = np.log(entries.weights)
     n_entries, n, size = table.shape[1], layer.n, table.shape[2]
     chunk = max(1, _CHUNK_ELEMS // size)
-    if layer.permutation_symmetric:
+    if rep_type_of(layer) is not None:
         assign, log_coeff = _assignments_multiset(n_entries, n, budget)
         logw = log_coeff + logw_entry[assign].sum(axis=1)
         for start in range(0, assign.shape[0], chunk):
@@ -398,6 +297,12 @@ def s_rb_stack_exact(stack: CodeStack, ch: PauliChannel,
     return total
 
 
+def _row_blocks(code: StabilizerCode, count: int) -> list[slice]:
+    """Slices of at most ``_CHUNK_ELEMS`` spectrum elements of sampled rows."""
+    step = max(1, _CHUNK_ELEMS >> (len(code.generators) + 2 * code.k))
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
 def s_rb_stack_mc(stack: CodeStack, ch: PauliChannel, samples: int = 100_000,
                   seed: int = 0, limit: int = EXHAUSTIVE_LIMIT,
                   chunk: int = 20_000) -> tuple[float, float]:
@@ -405,7 +310,9 @@ def s_rb_stack_mc(stack: CodeStack, ch: PauliChannel, samples: int = 100_000,
 
     Every sample draws the syndrome class of each block below the top
     layer from its conditional distribution and evaluates the top layer
-    exactly; the estimator is the sample mean and is unbiased.  Sampling
+    exactly; the estimator is the sample mean and is unbiased.  Each
+    sampled layer is evaluated in row blocks of at most ``_CHUNK_ELEMS``
+    spectrum elements, which bound the memory of a chunk.  Sampling
     uses a counter-based Philox generator keyed by (seed, chunk index), so
     results are reproducible and chunks are independent.
     """
@@ -443,16 +350,20 @@ def s_rb_stack_mc(stack: CodeStack, ch: PauliChannel, samples: int = 100_000,
         for li in range(1, len(stack.layers) - 1):
             layer = stack.layers[li]
             rows = chans.reshape(nsamp * nblocks[li], layer.n, 4)
-            cells = _batched_cells(layer, rows)
-            synd, cond = _conditional_channels(cells)
-            cum = np.cumsum(synd, axis=1)
-            cum[:, -1] = 1.0
             u = rng.random((rows.shape[0], 1))
-            pick = (u > cum).sum(axis=1)
-            chans = cond[np.arange(rows.shape[0]), pick].reshape(nsamp, nblocks[li], 4)
+            picked = np.empty((rows.shape[0], 4))
+            for blk in _row_blocks(layer, rows.shape[0]):
+                synd, cond = _conditional_channels(_batched_cells(layer, rows[blk]))
+                cum = np.cumsum(synd, axis=1)
+                cum[:, -1] = 1.0
+                pick = (u[blk] > cum).sum(axis=1)
+                picked[blk] = cond[np.arange(pick.size), pick]
+            chans = picked.reshape(nsamp, nblocks[li], 4)
         top = stack.layers[-1]
-        cells = _batched_cells(top, chans.reshape(nsamp, top.n, 4))
-        vals = batched_s_rb(cells)
+        rows = chans.reshape(nsamp, top.n, 4)
+        vals = np.empty(nsamp)
+        for blk in _row_blocks(top, nsamp):
+            vals[blk] = batched_s_rb(_batched_cells(top, rows[blk]))
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
         done += nsamp

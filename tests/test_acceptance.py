@@ -23,11 +23,11 @@ from cosetcap import (ChannelFamily, CodeStack, MonteCarlo, block_table,
                       compose_stack, concat_rep_coset_probs, family_eval,
                       hashing_point, make_repetition_code,
                       nonadditivity_at_hashing, optimize_channel,
-                      parse_stack_spec, registry_get, s_rb_code,
-                      s_rb_estimate, s_rb_rep, s_rb_stack_exact, threshold)
+                      parse_stack_spec, registry_get, s_rb_estimate, s_rb_rep, s_rb_stack_exact, threshold)
 from cosetcap.exact import coset_distribution
 from cosetcap.tables import load_manifest
 from conftest import random_channels
+from xor_reference import gather_s_rb
 
 DEPOL = ChannelFamily("depolarizing")
 INDXZ = ChannelFamily("independent_xz")
@@ -310,7 +310,7 @@ def test_criterion10_stack_oracle(spec):
     for family, p in ((DEPOL, 0.05), (INDXZ, 0.1), (TWOP, 0.09)):
         ch = family_eval(family, p)
         a = s_rb_stack_exact(stack, ch)
-        b = s_rb_code(compose_stack(stack), ch)
+        b = gather_s_rb(compose_stack(stack), ch)
         worst = max(worst, abs(a - b))
     print(f"[acceptance] {'PASS' if worst <= 1e-9 else 'FAIL'} c10 {spec}: "
           f"worst |diff| {worst:.2e} tol 1e-9")

@@ -4,9 +4,9 @@ import pytest
 import cosetcap.capacity as capacity
 from cosetcap import (ChannelFamily, CodeStack, MonteCarlo, channel_entropy,
                       family_eval, hashing_point, parse_stack_spec, rate,
-                      registry_get, sweep, threshold)
-from cosetcap.capacity import (NoThresholdError, evaluate_s_rb, nonadditivity,
-                               rep_type_of)
+                      registry_get, registry_names, sweep, threshold)
+from cosetcap.capacity import NoThresholdError, evaluate_s_rb, nonadditivity
+from cosetcap.codes import rep_type_of
 
 DEPOL = ChannelFamily("depolarizing")
 INDXZ = ChannelFamily("independent_xz")
@@ -18,6 +18,11 @@ def test_rep_type_detection():
     assert rep_type_of(registry_get("5qubit")) is None
     assert rep_type_of(registry_get("422")) is None
     assert rep_type_of(registry_get("shor")) is None
+    # exactly the repetition codes among the bundled and generated ones
+    reps = {"3repX": "X", "3repZ": "Z", "4repZ": "Z", "5repZ": "Z", "7repX": "X",
+            "repZ(2)": "Z", "repX(6)": "X"}
+    for name in (*registry_names(), "repZ(2)", "repX(6)", "trivial"):
+        assert rep_type_of(registry_get(name)) == reps.get(name)
 
 
 def test_rate_at_zero_noise_is_k_over_l():

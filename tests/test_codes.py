@@ -5,7 +5,7 @@ import pytest
 from cosetcap import (PauliString, anticommutes, classify,
                       make_repetition_code, parse_code, pauli_mul, registry_get,
                       registry_names, serialize_code, trivial_code)
-from cosetcap.codes import CodeValidationError
+from cosetcap.codes import CodeValidationError, rep_type_of
 
 P = PauliString.from_text
 
@@ -66,7 +66,7 @@ def test_registry_generated_rep():
     assert [str(g) for g in code.generators] == ["ZZIII", "ZIZII", "ZIIZI", "ZIIIZ"]
     assert str(code.logical_x[0]) == "XXXXX"
     assert str(code.logical_z[0]) == "ZIIII"
-    assert code.permutation_symmetric
+    assert rep_type_of(code) == "Z"
     assert registry_get("5repZ").generators == registry_get("repZ(5)").generators
 
 
@@ -78,8 +78,7 @@ def test_registry_unknown_name():
 def test_round_trip_serialization():
     for name in registry_names():
         code = registry_get(name)
-        again = parse_code(serialize_code(code),
-                           permutation_symmetric=code.permutation_symmetric)
+        again = parse_code(serialize_code(code))
         assert serialize_code(again) == serialize_code(code)
         assert again.generators == code.generators
 

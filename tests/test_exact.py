@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 
@@ -6,58 +5,64 @@ import numpy as np
 import pytest
 
 from cosetcap import (ChannelFamily, PauliChannel, PauliString, classify,
-                      coset_distribution, family_eval, registry_get,
-                      s_rb_code, s_rb_exact)
+                      coset_distribution, custom_family, family_eval,
+                      registry_get, registry_names, s_rb_code, s_rb_exact)
 from cosetcap.exact import CLASS_OF_LETTER, ExhaustiveLimitError
 from conftest import random_channels
+from xor_reference import gather_s_rb
 
 DEPOL = ChannelFamily("depolarizing")
 
-_LETTER_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+FAMILIES = [DEPOL, ChannelFamily("independent_xz"), ChannelFamily("two_pauli"),
+            custom_family(0.6, 0.1, 0.3)]
 
 
-def brute_force_table(code, site_channels):
-    """Oracle: classify all 4^n errors one by one and accumulate."""
-    probs = {}
-    site = [ch.as_array() for ch in site_channels]
-    for letters in itertools.product("IXYZ", repeat=code.n):
-        x = z = 0
-        pr = 1.0
-        for i, letter in enumerate(letters):
-            bx, bz = _LETTER_XZ[letter]
-            x |= bx << i
-            z |= bz << i
-            pr *= site[i]["IXYZ".index(letter)]
-        res = classify(code, PauliString(code.n, x, z))
-        probs[(res.syndrome, res.logical_class)] = \
-            probs.get((res.syndrome, res.logical_class), 0.0) + pr
-    return probs
+def enumerated_table(code, site_channels):
+    """Oracle: the (syndromes, classes) table summed over all 4^n errors."""
+    n = code.n
+    letters = np.indices((4,) * n).reshape(n, -1)  # (I, X, Y, Z) = 0..3
+    x, z = (letters == 1) | (letters == 2), letters >= 2
+    probs = np.prod([ch.as_array()[letters[i]] for i, ch in enumerate(site_channels)],
+                    axis=0)
+    checks = list(code.generators)
+    for j in range(code.k):
+        checks += [code.logical_x[j], code.logical_z[j]]
+    index = np.zeros(letters.shape[1], dtype=np.int64)
+    for b, chk in enumerate(checks):
+        gx = np.array([(chk.x_bits >> i) & 1 for i in range(n)])[:, None]
+        gz = np.array([(chk.z_bits >> i) & 1 for i in range(n)])[:, None]
+        index |= (((x * gz).sum(axis=0) + (z * gx).sum(axis=0)) % 2) << b
+    g = len(code.generators)
+    dist = np.bincount(index, weights=probs, minlength=1 << (g + 2 * code.k))
+    return dist.reshape(4 ** code.k, 2 ** g).T
 
 
-def as_cell_dict(table):
-    out = {}
-    ngens = int(math.log2(table.probs.shape[0]))
-    for s in range(table.probs.shape[0]):
-        for c in range(table.probs.shape[1]):
-            p = table.probs[s, c]
-            if p > 0.0:
-                synd = tuple((s >> i) & 1 for i in range(ngens))
-                cls = tuple((c >> i) & 1 for i in range(2 * table.k))
-                out[(synd, cls)] = p
-    return out
+ENUMERATED_CODES = ["repZ(3)", "5qubit", "422", "scfH"] + [
+    name for name in registry_names()
+    if registry_get(name).n <= 9 and name not in ("5qubit", "422", "scfH")]
 
 
-@pytest.mark.parametrize("name", ["repZ(3)", "5qubit", "422", "scfH"])
+@pytest.mark.parametrize("name", ENUMERATED_CODES)
 def test_table_matches_brute_force(name):
     code = registry_get(name)
-    chans = random_channels(code.n, seed=abs(hash(name)) % 1000)
-    table = coset_distribution(code, chans)
-    table.check_invariants()
-    oracle = brute_force_table(code, chans)
-    mine = as_cell_dict(table)
-    assert set(oracle) == set(mine)
-    for key, val in oracle.items():
-        assert mine[key] == pytest.approx(val, abs=1e-13)
+    chans = random_channels(code.n, seed=sum(map(ord, name)))
+    v = chans[0].as_array()
+    v[2] = 0.0  # a letter of zero probability
+    chans[0] = PauliChannel(*(v / v.sum()))
+    for site_channels in (chans, [PauliChannel(1, 0, 0, 0)] * code.n):
+        table = coset_distribution(code, site_channels)
+        table.check_invariants()
+        want = enumerated_table(code, site_channels)
+        assert np.abs(table.probs - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)
+def test_s_rb_matches_gather_reference_on_every_bundled_code(family):
+    for name in registry_names():
+        code = registry_get(name)
+        for p in (0.0, 1e-6, 0.05, 0.1, 0.2):
+            ch = family_eval(family, p)
+            assert abs(s_rb_code(code, ch) - gather_s_rb(code, ch)) <= 1e-12
 
 
 def test_table_invariants_all_registry():
@@ -176,10 +181,7 @@ def test_per_site_channels_are_first_class():
     code = registry_get("repZ(3)")
     chans = random_channels(3, seed=99)
     table = coset_distribution(code, chans)
-    oracle = brute_force_table(code, chans)
-    mine = as_cell_dict(table)
-    for key, val in oracle.items():
-        assert mine[key] == pytest.approx(val, abs=1e-14)
+    assert np.abs(table.probs - enumerated_table(code, chans)).max() <= 1e-14
 
 
 def test_json_dump():

@@ -9,9 +9,9 @@ from cosetcap import (ChannelFamily, CodeStack, MonteCarlo, PauliChannel,
                       parse_stack_spec, registry_get, s_rb_code,
                       s_rb_stack_exact, s_rb_stack_mc)
 from cosetcap import stacks
-from cosetcap.exact import _letter_bit_masks
-from cosetcap.stacks import (_WHT_BLOCK, StackBudgetError, _inverse_wht,
-                             _site_sign_matrices)
+from cosetcap.exact import _E4, _WHT_BLOCK, _character_table, _inverse_wht
+from cosetcap.stacks import StackBudgetError
+from xor_reference import gather_s_rb, letter_masks
 
 DEPOL = ChannelFamily("depolarizing")
 CH06 = family_eval(DEPOL, 0.06)
@@ -117,6 +117,22 @@ def test_stack_budget_error():
         s_rb_stack_exact(stack, CH06, budget=100)
 
 
+def test_repetition_layer_from_a_code_file_takes_the_multiset_path(tmp_path):
+    # a repetition code by its checks alone (a chain, not the registry's
+    # star): the 2 entries of repX(3) give it 6 multisets (12 count cells)
+    # against 2^5 = 32 ordered assignments, and a budget of 20 admits only
+    # the multisets
+    path = tmp_path / "chain5.code"
+    path.write_text("name chain5\nnk 5 1\nG ZZIII\nG IZZII\nG IIZZI\nG IIIZZ\n"
+                    "LX XXXXX\nLZ ZIIII\n")
+    stack = parse_stack_spec(f"repX(3) x {path}")
+    assert len(effective_channels(stack.layers[0], [CH06] * 3).weights) == 2
+    got = s_rb_stack_exact(stack, CH06, budget=20)
+    assert got == pytest.approx(gather_s_rb(compose_stack(stack), CH06), abs=1e-9)
+    with pytest.raises(StackBudgetError):
+        s_rb_stack_exact(parse_stack_spec("repX(3) x 5qubit"), CH06, budget=20)
+
+
 def test_stack_budget_bounds_multiset_memory():
     # repX(5) over the 69 entries of 5qubit: 15,020,334 multisets, whose
     # multiset count matrix alone would take 8.3 GB
@@ -170,16 +186,20 @@ def test_three_layer_mc_runs():
 
 @pytest.mark.parametrize("name", ["5qubit", "422", "toric822", "biased9"])
 def test_site_sign_matrices_match_brute_force_parity(name):
+    # the pattern table is 2 parity(v & mask_X) + parity(v & mask_Z), and
+    # the site sign matrices E4[:, pattern] it stands for are the
+    # characters (-1)^parity(v & mask) of all four letters
     code = registry_get(name)
-    signs = _site_sign_matrices(code)
-    masks = _letter_bit_masks(code)
+    pattern = _character_table(code)
+    masks = letter_masks(code)
     size = 1 << (len(code.generators) + 2 * code.k)
-    assert signs.shape == (code.n, 4, size)
+    assert pattern.shape == (code.n, size) and pattern.dtype == np.uint8
+    parity = lambda m: np.array([bin(v & int(m)).count("1") % 2 for v in range(size)])
     for i in range(code.n):
+        assert np.array_equal(pattern[i], 2 * parity(masks[i, 1]) + parity(masks[i, 3]))
         for letter in range(4):
-            parity = [bin(chi & int(masks[i, letter])).count("1") % 2
-                      for chi in range(size)]
-            assert np.array_equal(signs[i, letter], 1.0 - 2.0 * np.array(parity))
+            assert np.array_equal(_E4[letter, pattern[i]],
+                                  1.0 - 2.0 * parity(masks[i, letter]))
 
 
 @pytest.mark.parametrize("bits", range(15))
@@ -229,7 +249,7 @@ def test_grouped_engine_matches_flat_composition(spec, ch):
     stack = parse_stack_spec(spec)
     grouped = s_rb_stack_exact(stack, ch)
     assert np.isfinite(grouped)
-    assert grouped == pytest.approx(s_rb_code(compose_stack(stack), ch), abs=1e-9)
+    assert grouped == pytest.approx(gather_s_rb(compose_stack(stack), ch), abs=1e-9)
     raw = s_rb_stack_exact(stack, ch, group_tol=0.0, canonicalize=False)
     assert raw == pytest.approx(grouped, abs=1e-12)
 
@@ -243,7 +263,7 @@ def test_chunking_never_changes_values(monkeypatch, chunk_elems):
     monkeypatch.setattr(stacks, "_CHUNK_ELEMS", chunk_elems)
     for spec in ("repZ(3) x 422", "repZ(2) x 613H", "repZ(2) x repX(2) x 3repX"):
         stack = parse_stack_spec(spec)
-        want = s_rb_code(compose_stack(stack), ch)
+        want = gather_s_rb(compose_stack(stack), ch)
         raw = s_rb_stack_exact(stack, ch, group_tol=0.0, canonicalize=False)
         assert raw == pytest.approx(want, abs=1e-9)
         assert s_rb_stack_exact(stack, ch) == pytest.approx(want, abs=1e-9)
