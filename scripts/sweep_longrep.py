@@ -14,22 +14,8 @@ import csv
 import sys
 import time
 
-from cosetcap import parse_channel_spec, s_rb_estimate
-from cosetcap.channels import bracketed_root
-
-
-def estimator_threshold(n, m, family, lo, hi, tol=1e-8):
-    """p_star where the estimated S_RB crosses 1, or None when it does not
-    cross on [lo, hi]."""
-    def f(p):
-        return s_rb_estimate(n, m, family, p).s_rb - 1.0
-
-    try:
-        lo, hi, _ = bracketed_root(f, lo, hi, tol)
-    except ValueError:
-        return None
-    return 0.5 * (lo + hi)
-
+from cosetcap import parse_channel_spec, parse_stack_spec, threshold
+from cosetcap.capacity import NoThresholdError
 
 BRACKETS = {"depolarizing": (0.055, 0.0675), "independent_xz": (0.105, 0.118),
             "two_pauli": (0.105, 0.119)}
@@ -41,7 +27,7 @@ DEFAULT_MS = (3, 5, 7, 9, 13, 17, 21, 27, 35, 45, 51, 57, 65, 75, 91, 111,
 def main() -> int:
     family = parse_channel_spec(sys.argv[1] if len(sys.argv) > 1 else "depol")
     inners = [int(a) for a in sys.argv[2:]] or [3, 5, 7]
-    lo, hi = BRACKETS[family.kind]
+    bracket = BRACKETS[family.kind]
     for n in inners:
         path = f"longrep_{family.kind}_inner{n}.csv"
         with open(path, "w", newline="") as fh:
@@ -49,7 +35,11 @@ def main() -> int:
             writer.writerow(["m", "threshold"])
             for m in DEFAULT_MS:
                 t0 = time.time()
-                p_star = estimator_threshold(n, m, family, lo, hi)
+                stack = parse_stack_spec(f"repX({n}) x repZ({m})")
+                try:
+                    p_star = threshold(stack, family, tol=1e-8, bracket=bracket).p_star
+                except NoThresholdError:
+                    p_star = None
                 writer.writerow([m, f"{p_star:.10f}" if p_star else ""])
                 fh.flush()
                 print(f"inner {n} x outer {m}: {p_star} "

@@ -7,12 +7,14 @@ hashing rate 1 - H(channel).  A threshold is the noise parameter where the
 rate crosses zero, found by bracketed root (Chandrupatla) and certified by
 its final bracket.
 
-Evaluation dispatch, in order:
+Evaluation dispatch, in order, all in ``evaluate_s_rb``:
   * empty stack                       -> channel entropy (method "exact")
-  * one or two pure repetition layers -> closed-form multiset enumeration
-    (method "grouped"), falling back to the long-rep estimator when the
-    multiset count exceeds its budget (method "longrep")
   * Monte Carlo strategy              -> syndrome sampling (method "mc")
+  * one or two pure repetition layers -> the exact multiset sum over the
+    inner blocks' folded atoms (method "grouped") up to REP_SWITCH
+    multisets, the long-rep estimator on the same atoms above it (method
+    "longrep"); both are exact, and the switch sits where the estimator's
+    roughly constant cost meets the sum's per-multiset cost
   * anything else                     -> effective-channel composition
     (method "grouped"; "exact" for a single layer)
 """
@@ -25,12 +27,16 @@ from dataclasses import dataclass
 from .channels import (ChannelFamily, PauliChannel, bracketed_root, channel_entropy,
                        entropy_peak, family_eval, hashing_point)
 from .codes import rep_type_of
-from .exact import EXHAUSTIVE_LIMIT, s_rb_code
+from .exact import s_rb_code
 from .longrep import s_rb_estimate_channel
-from .rep import MULTISET_BUDGET, MultisetBudgetError, s_rb_rep
+from .rep import multiset_count, s_rb_rep
 from .stacks import CodeStack, MonteCarlo, s_rb_stack_exact, s_rb_stack_mc
 
 DEFAULT_TOL = 1e-10
+# n x m repetition shapes with more multisets of the 2 (n//2 + 1) inner
+# block groups than this go to the estimator: 5x12 (6,188) and 7x8 (6,435)
+# are faster by the sum, 7x9 (11,440) and 5x14 (11,628) by the estimator
+REP_SWITCH = 10_000
 
 
 class NoThresholdError(RuntimeError):
@@ -61,48 +67,40 @@ def _rep_shape(stack: CodeStack):
     return None
 
 
-def evaluate_s_rb(stack: CodeStack, ch: PauliChannel,
-                  limit: int = EXHAUSTIVE_LIMIT,
-                  multiset_budget: int = MULTISET_BUDGET,
-                  mc: MonteCarlo | None = None) -> Evaluation:
+def evaluate_s_rb(stack: CodeStack, ch: PauliChannel) -> Evaluation:
     """S_RB of a stack under one channel, with automatic method choice."""
-    if mc is None and isinstance(stack.strategy, MonteCarlo):
-        mc = stack.strategy
     if not stack.layers:
         return Evaluation(channel_entropy(ch), "exact")
-    if mc is not None:
-        est, se = s_rb_stack_mc(stack, ch, samples=mc.samples, seed=mc.seed,
-                                limit=limit)
+    if isinstance(stack.strategy, MonteCarlo):
+        mc = stack.strategy
+        est, se = s_rb_stack_mc(stack, ch, samples=mc.samples, seed=mc.seed)
         return Evaluation(est, "mc", std_error=se)
     shape = _rep_shape(stack)
     if shape is not None:
         n, m, inner_type = shape
-        try:
-            return Evaluation(s_rb_rep(n, m, ch, inner_type=inner_type,
-                                       budget=multiset_budget), "grouped")
-        except MultisetBudgetError:
-            est = s_rb_estimate_channel(n, m, ch, inner_type=inner_type)
-            return Evaluation(est.s_rb, "longrep")
+        if multiset_count(m, 2 * (n // 2 + 1)) <= REP_SWITCH:
+            return Evaluation(s_rb_rep(n, m, ch, inner_type=inner_type), "grouped")
+        est = s_rb_estimate_channel(n, m, ch, inner_type=inner_type)
+        return Evaluation(est.s_rb, "longrep")
     if len(stack.layers) == 1:
-        return Evaluation(s_rb_code(stack.layers[0], ch, limit=limit), "exact")
-    return Evaluation(s_rb_stack_exact(stack, ch, limit=limit), "grouped")
+        return Evaluation(s_rb_code(stack.layers[0], ch), "exact")
+    return Evaluation(s_rb_stack_exact(stack, ch), "grouped")
 
 
-def rate(stack: CodeStack, family: ChannelFamily, p: float, **kw) -> float:
+def rate(stack: CodeStack, family: ChannelFamily, p: float) -> float:
     """Coherent-information rate (k - S_RB) / l at noise parameter p."""
-    ev = evaluate_s_rb(stack, family_eval(family, p), **kw)
+    return rate_from_channel(stack, family_eval(family, p))
+
+
+def rate_from_channel(stack: CodeStack, ch: PauliChannel) -> float:
+    ev = evaluate_s_rb(stack, ch)
     return (stack.k_outer - ev.s_rb) / stack.total_length
 
 
-def rate_from_channel(stack: CodeStack, ch: PauliChannel, **kw) -> float:
-    ev = evaluate_s_rb(stack, ch, **kw)
-    return (stack.k_outer - ev.s_rb) / stack.total_length
-
-
-def nonadditivity(stack: CodeStack, family: ChannelFamily, p: float, **kw) -> float:
+def nonadditivity(stack: CodeStack, family: ChannelFamily, p: float) -> float:
     """Rate in excess of the hashing baseline max(0, 1 - H)."""
     ch = family_eval(family, p)
-    return rate_from_channel(stack, ch, **kw) - max(0.0, 1.0 - channel_entropy(ch))
+    return rate_from_channel(stack, ch) - max(0.0, 1.0 - channel_entropy(ch))
 
 
 @dataclass(frozen=True)
@@ -119,7 +117,7 @@ class ThresholdResult:
 
 
 def threshold(stack: CodeStack, family: ChannelFamily, tol: float = DEFAULT_TOL,
-              bracket: tuple[float, float] | None = None, **kw) -> ThresholdResult:
+              bracket: tuple[float, float] | None = None) -> ThresholdResult:
     """Largest noise parameter with positive rate, by certified bracketed
     root (Chandrupatla).
 
@@ -136,13 +134,12 @@ def threshold(stack: CodeStack, family: ChannelFamily, tol: float = DEFAULT_TOL,
         hi = entropy_peak(family) if family.kind == "custom" else family.p_max() - 1e-9
     else:
         lo, hi = bracket
-    mc = kw.get("mc") or (stack.strategy if isinstance(stack.strategy, MonteCarlo) else None)
-    is_mc = mc is not None
+    is_mc = isinstance(stack.strategy, MonteCarlo)
 
     methods = set()
 
     def f(p: float) -> float:
-        ev = evaluate_s_rb(stack, family_eval(family, p), **kw)
+        ev = evaluate_s_rb(stack, family_eval(family, p))
         methods.add(ev.method)
         return ev.s_rb - target
 
@@ -160,10 +157,10 @@ def threshold(stack: CodeStack, family: ChannelFamily, tol: float = DEFAULT_TOL,
     if is_mc:
         # slope from a symmetric difference; CRN noise cancels in the mean
         delta = max(50.0 * eff_tol, 1e-5)
-        ev_m = evaluate_s_rb(stack, family_eval(family, p_star - delta), **kw)
-        ev_p = evaluate_s_rb(stack, family_eval(family, p_star + delta), **kw)
+        ev_m = evaluate_s_rb(stack, family_eval(family, p_star - delta))
+        ev_p = evaluate_s_rb(stack, family_eval(family, p_star + delta))
         slope = (ev_p.s_rb - ev_m.s_rb) / (2.0 * delta)
-        ev_c = evaluate_s_rb(stack, family_eval(family, p_star), **kw)
+        ev_c = evaluate_s_rb(stack, family_eval(family, p_star))
         std_error = abs(ev_c.std_error / slope) if slope else math.inf
         evals += 3
     method = ("mc" if is_mc else
@@ -183,15 +180,16 @@ class SweepRow:
 
 
 def sweep(stack: CodeStack, family: ChannelFamily, p_range: tuple[float, float],
-          steps: int, **kw) -> list[SweepRow]:
-    """Evaluate (p, S_RB, rate) on an inclusive uniform grid."""
-    if steps < 2:
-        raise ValueError("sweep needs at least 2 steps")
+          steps: int) -> list[SweepRow]:
+    """Evaluate (p, S_RB, rate) on an inclusive uniform grid of ``steps``
+    points; a range with lo == hi may have just one."""
     lo, hi = p_range
+    if steps < (1 if lo == hi else 2):
+        raise ValueError("sweep needs at least 2 steps, or 1 where lo == hi")
     rows = []
     for i in range(steps):
-        p = lo + (hi - lo) * i / (steps - 1)
-        ev = evaluate_s_rb(stack, family_eval(family, p), **kw)
+        p = lo + (hi - lo) * i / max(steps - 1, 1)
+        ev = evaluate_s_rb(stack, family_eval(family, p))
         rows.append(SweepRow(p, ev.s_rb,
                              (stack.k_outer - ev.s_rb) / stack.total_length,
                              ev.method, ev.std_error))

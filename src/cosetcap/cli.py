@@ -3,7 +3,9 @@
 Subcommands: codes (list/show), rate, threshold, sweep, longrep, optimize,
 tables.  Stacks are written as layer names joined by " x ", innermost
 layer first: A x B encodes with B first.  Channels are depol, indxz,
-twopauli, or custom:cX,cY,cZ.
+twopauli, or custom:cX,cY,cZ.  ``longrep --inner n --outer m`` is
+``sweep`` on "repX(n) x repZ(m)", which picks the multiset sum or the
+long-rep estimator by size like every other evaluation.
 
 Exit codes: 0 success, 1 regression mismatches, 2 validation error,
 3 numerical failure (no bracket, enumeration budget).
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -21,9 +22,7 @@ from .capacity import NoThresholdError, rate, sweep, threshold
 from .channels import parse_channel_spec
 from .codes import registry_get, registry_names, serialize_code
 from .exact import ExhaustiveLimitError
-from .longrep import s_rb_estimate
 from .optimize import optimize_channel
-from .rep import MultisetBudgetError
 from .stacks import CodeStack, MonteCarlo, StackBudgetError, parse_stack_spec
 from .tables import TABLE_NAMES, format_results, run_manifest
 
@@ -31,8 +30,6 @@ EXIT_OK = 0
 EXIT_DIFF = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
-
-THREADS_ENV = "COSETCAP_THREADS"
 
 _CSV_HEADER = "p,s_rb,rate,method,std_error"
 
@@ -125,26 +122,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_longrep(args) -> int:
-    family = parse_channel_spec(args.channel)
     if args.range:
         lo, hi, steps = _parse_range(args.range)
-        ps = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
     elif args.p is not None:
-        ps = [args.p]
+        lo, hi, steps = args.p, args.p, 1
     else:
         print("longrep needs --p or --range", file=sys.stderr)
         return EXIT_VALIDATION
-    sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        sink.write("p,s_rb,rate\n")
-        for p in ps:
-            est = s_rb_estimate(args.inner, args.outer, family, p)
-            r = (1.0 - est.s_rb) / (args.inner * args.outer)
-            sink.write(f"{_fmt(p)},{_fmt(est.s_rb)},{_fmt(r)}\n")
-            sink.flush()
-    finally:
-        if args.out:
-            sink.close()
+    stack = parse_stack_spec(f"repX({args.inner}) x repZ({args.outer})")
+    rows = sweep(stack, parse_channel_spec(args.channel), (lo, hi), steps)
+    _emit_rows(rows, "csv", args.out)
     return EXIT_OK
 
 
@@ -178,9 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
                "first. A x B encodes with B first.\n"
                "Channels: depol, indxz, twopauli, custom:cX,cY,cZ.")
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get(THREADS_ENV, "0")) or None,
-                        help="cap worker threads (default: library choice)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("codes", help="list or show registry codes")
@@ -214,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", required=True, help="a:b:steps")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("longrep", help="long concatenated repetition estimator")
+    p = sub.add_parser("longrep", help="sweep on repX(inner) x repZ(outer)")
     p.add_argument("--inner", type=int, required=True)
     p.add_argument("--outer", type=int, required=True)
     p.add_argument("--channel", required=True)
@@ -243,26 +227,15 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         # argparse uses 2 for usage errors, matching the validation exit code
         return int(exc.code or 0)
-    limiter = None
-    if args.threads:
-        os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
-        try:
-            from threadpoolctl import threadpool_limits
-            limiter = threadpool_limits(limits=args.threads)
-        except ImportError:
-            pass
     try:
         return args.func(args)
-    # the budget errors subclass ValueError, so they are caught first
-    except (NoThresholdError, MultisetBudgetError, StackBudgetError) as exc:
+    # the budget error subclasses ValueError, so it is caught first
+    except (NoThresholdError, StackBudgetError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, KeyError, ExhaustiveLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    finally:
-        if limiter is not None:
-            limiter.unregister()
 
 
 def main() -> None:

@@ -12,6 +12,10 @@ terms cancel in S_RB:
 
     S_RB (bits) = 1 + (E[-ln(1 + prod q)] - E[-ln(1 + prod r)]) / ln 2.
 
+Atoms k and n-k share |q| and r, so both expectations run over the rows
+of ``rep.block_atoms``: one per (k <-> n-k, b) group, with its weight,
+|q| and r.
+
 q side, an exact moment series.  The atoms k and n-k of a block have
 opposite q and weights in the ratio (1 + |q|) : (1 - |q|), so given the
 magnitudes the product is positive with probability (1 + Q) / 2,
@@ -64,46 +68,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import PauliChannel
-from .rep import block_table
+from .rep import block_atoms
 
 SERIES_HEAD = 1 << 14  # J: moment-series terms summed directly
 _HEAD_CHUNK = 2048
 T_MAX = 14.0          # r-side cut: 1 / (t sinh(pi t)) < e^-43 beyond it
 _R_ORDER = 32         # Gauss-Legendre points per r-side panel
 _NODE_BLOCK = 4096    # r-side nodes evaluated together
-
-
-@dataclass(frozen=True)
-class QRTable:
-    """Per-(k, b) convolution inputs of one inner block."""
-
-    n: int
-    q: np.ndarray        # (2, n+1), signed, zero where h sums vanish
-    r: np.ndarray        # (2, n+1)
-    ln_h_sum: np.ndarray  # (2, n+1), ln(h^b_k + h^b_{n-k})
-    weight: np.ndarray   # (2, n+1), sums to 1
-
-
-def qr_coefficients(n: int, ch: PauliChannel, inner_type: str = "X") -> QRTable:
-    """q, r, log h-sums and block weights from the closed-form block table."""
-    if inner_type == "Z":
-        ch = ch.swap_xz()
-    bt = block_table(n, "X", ch)
-    h = bt.h
-    hk = h
-    hnk = h[:, ::-1]
-    a = hk + hnk
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(a > 0.0, (hk - hnk) / np.where(a > 0.0, a, 1.0), 0.0)
-        r = np.where(a > 0.0, (hk[::-1] + hnk[::-1]) / np.where(a > 0.0, a, 1.0), 0.0)
-        ln_h_sum = np.where(a > 0.0, np.log(np.where(a > 0.0, a, 1.0)), -np.inf)
-    comb = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
-    weight = h * comb
-    total = weight.sum()
-    if not 0.0 < total < np.inf:
-        raise ValueError("degenerate block table")
-    weight = weight / total
-    return QRTable(n, q, r, ln_h_sum, weight)
 
 
 @functools.cache
@@ -223,13 +194,8 @@ def s_rb_estimate_channel(n: int, m: int, ch: PauliChannel,
     """Estimated S_RB (bits) of the n x m concatenated repetition code."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    table = qr_coefficients(n, ch, inner_type=inner_type)
-    w = table.weight.ravel()
-    q = table.q.ravel()
-    r = table.r.ravel()
-    live = w > 0.0
-    w, q, r = w[live], q[live], r[live]
-    e_q = expect_neg_log1p_moments(np.abs(q), w, m)
+    w, absq, r = block_atoms(n, ch, inner_type).T
+    e_q = expect_neg_log1p_moments(absq, w, m)
     pos = r > 0.0
     e_r = expect_neg_log1p_positive(np.log(r[pos]), w[pos], m)
     return LongRepEstimate(1.0 + (e_q - e_r) / math.log(2.0))

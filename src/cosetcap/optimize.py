@@ -84,7 +84,7 @@ class OptimizationResult:
         }
 
 
-def nonadditivity_at_hashing(stack: CodeStack, c, **kw) -> tuple[float, float]:
+def nonadditivity_at_hashing(stack: CodeStack, c) -> tuple[float, float]:
     """(p_hash, rate at p_hash) of the custom channel with coefficients c.
 
     Printed coefficient triples are renormalized exactly before use; at the
@@ -93,7 +93,7 @@ def nonadditivity_at_hashing(stack: CodeStack, c, **kw) -> tuple[float, float]:
     """
     family = custom_family(*c, renormalize=True)
     p_hash = hashing_point(family)
-    return p_hash, rate(stack, family, p_hash, **kw)
+    return p_hash, rate(stack, family, p_hash)
 
 
 def _starts(restarts: int, seed: int) -> list[tuple[float, float, float]]:
@@ -110,12 +110,12 @@ def _starts(restarts: int, seed: int) -> list[tuple[float, float, float]]:
     return points[:restarts]
 
 
-def _nelder_mead(objective, theta0: np.ndarray, max_evals: int):
+def _nelder_mead(objective, theta0: np.ndarray):
     """Minimize over R^2; convergence measured in coefficient space."""
     pts = [theta0, theta0 + np.array([0.5, 0.0]), theta0 + np.array([0.0, 0.5])]
     evals = [objective(t) for t in pts]
     n_evals = 3
-    while n_evals < max_evals:
+    while n_evals < MAX_EVALS:
         order = np.argsort(evals)
         pts = [pts[i] for i in order]
         evals = [evals[i] for i in order]
@@ -153,8 +153,7 @@ def _nelder_mead(objective, theta0: np.ndarray, max_evals: int):
 
 
 def optimize_channel(stack: CodeStack, restarts: int = DEFAULT_RESTARTS,
-                     seed: int = 0, max_evals: int = MAX_EVALS,
-                     **kw) -> OptimizationResult:
+                     seed: int = 0) -> OptimizationResult:
     """Best coefficient triple found over all restarts.
 
     Ties on the achieved rate break to the lexicographically smallest
@@ -162,17 +161,17 @@ def optimize_channel(stack: CodeStack, restarts: int = DEFAULT_RESTARTS,
     """
     def objective(theta: np.ndarray) -> float:
         c = _theta_to_c(theta)
-        _, q = nonadditivity_at_hashing(stack, c, **kw)
+        _, q = nonadditivity_at_hashing(stack, c)
         return -q
 
     trace = []
     best = None
     total_evals = 0
     for idx, start in enumerate(_starts(restarts, seed)):
-        theta, f, used = _nelder_mead(objective, _c_to_theta(start), max_evals)
+        theta, f, used = _nelder_mead(objective, _c_to_theta(start))
         total_evals += used
         c = _theta_to_c(theta)
-        p_hash, q = nonadditivity_at_hashing(stack, c, **kw)
+        p_hash, q = nonadditivity_at_hashing(stack, c)
         trace.append({"restart": idx, "start": start, "c": c, "q": q,
                       "p_hash": p_hash, "evals": used})
         key = (-q, c)

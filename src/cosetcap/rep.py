@@ -33,6 +33,7 @@ from scipy.special import gammaln, xlogy
 from .channels import PauliChannel
 
 MULTISET_BUDGET = 6_000_000
+_SUM_DIFF = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
 class MultisetBudgetError(ValueError):
@@ -87,11 +88,12 @@ def block_table(n: int, stabilizer_type: str, ch: PauliChannel) -> BlockTable:
     else:
         raise ValueError("stabilizer_type must be 'X' or 'Z'")
     ks = np.arange(n + 1)
-    plus = (u + v) ** ks * (s + t) ** (n - ks)
-    minus = (u - v) ** ks * (s - t) ** (n - ks)
-    h = 0.5 * np.stack([plus + minus, plus - minus])
+    # rows (u+v)^k (s+t)^(n-k) and (u-v)^k (s-t)^(n-k), then their sum
+    # and difference
+    terms = np.array([[u + v], [u - v]]) ** ks * np.array([[s + t], [s - t]]) ** (n - ks)
+    h = 0.5 * (_SUM_DIFF @ terms)
     # clamp tiny negative residue from cancellation
-    np.clip(h, 0.0, None, out=h)
+    np.maximum(h, 0.0, out=h)
     return BlockTable(n, stabilizer_type, h)
 
 
@@ -141,74 +143,66 @@ def multiset_count(m: int, alphabet: int) -> int:
     return math.comb(m + alphabet - 1, alphabet - 1)
 
 
-@dataclass(frozen=True)
-class _GroupedBlock:
-    """Folded (k <-> n-k) per-block outcome groups of an inner block table."""
+def block_atoms(n: int, ch: PauliChannel, inner_type: str = "X") -> np.ndarray:
+    """Folded atom table of the inner blocks of an n x m concatenation.
 
-    log_w: np.ndarray    # log group weight
-    log_a: np.ndarray    # log(h^b_k + h^b_{n-k})
-    log_absq: np.ndarray  # log |q|, with 0 stored for q = 0 groups
-    zero_q: np.ndarray   # True where q = 0 (any draw kills the product)
-    log_r: np.ndarray    # log of the b-flip mass ratio, 0 stored for r = 0
-    zero_r: np.ndarray
-
-
-def _grouped_block(bt: BlockTable) -> _GroupedBlock:
-    n = bt.n
-    h = bt.h
-    log_w, log_a, log_absq, zero_q, log_r, zero_r = [], [], [], [], [], []
-    for k in range(n // 2 + 1):
-        for b in (0, 1):
-            a = h[b, k] + h[b, n - k]
-            ac = h[1 - b, k] + h[1 - b, n - k]
-            if k == n - k:
-                w = math.comb(n, k) * h[b, k]
-            else:
-                w = math.comb(n, k) * a
-            if w <= 0.0:
-                continue
-            q = abs(h[b, k] - h[b, n - k]) / a
-            log_w.append(math.log(w))
-            log_a.append(math.log(a))
-            log_absq.append(math.log(q) if q > 0.0 else 0.0)
-            zero_q.append(q == 0.0)
-            log_r.append(math.log(ac) - math.log(a) if ac > 0.0 else 0.0)
-            zero_r.append(ac == 0.0)
-    return _GroupedBlock(np.array(log_w), np.array(log_a),
-                         np.array(log_absq), np.array(zero_q, dtype=bool),
-                         np.array(log_r), np.array(zero_r, dtype=bool))
-
-
-def s_rb_rep(n: int, m: int, ch: PauliChannel, inner_type: str = "X",
-             budget: int = MULTISET_BUDGET) -> float:
-    """Exact S_RB (bits) of the n x m concatenated repetition code.
-
-    ``inner_type`` names the stabilizer type of the inner blocks; the outer
-    layer has the complementary type.  inner_type="Z" is evaluated by
-    conjugating the channel with X<->Z.  m = 1 degenerates to a single
-    [[n,1]] block; n = 1 to a single [[m,1]] outer code.
+    One row per live (k <-> n-k, b) group, in the order k = 0 .. n//2,
+    b = 0, 1, groups of zero weight left out.  The columns are the group's
+    probability (summing to 1), |q| = |h^b_k - h^b_{n-k}| / a(b) and the
+    b-flip mass ratio r = a(1-b) / a(b), with a(b) = h^b_k + h^b_{n-k}.
+    Both S_RB engines read only these rows.  inner_type="Z" is the X-type
+    table of the X<->Z conjugated channel.
     """
     if inner_type == "Z":
         ch = ch.swap_xz()
     elif inner_type != "X":
         raise ValueError("inner_type must be 'X' or 'Z'")
-    bt = block_table(n, "X", ch)
-    g = _grouped_block(bt)
-    ngroups = g.log_w.size
+    h = block_table(n, "X", ch).h.T  # [k, b]
+    hk, hnk = h[:n // 2 + 1], h[::-1][:n // 2 + 1]
+    a = hk + hnk
+    live = a > 0.0
+    a_live = a[live]
+    w = (_fold_comb(n) * a)[live]
+    return np.column_stack([w / w.sum(), np.abs(hk - hnk)[live] / a_live,
+                            a[:, ::-1][live] / a_live])
+
+
+@lru_cache(maxsize=64)
+def _fold_comb(n: int) -> np.ndarray:
+    """Group weight per unit a: C(n, k) for k = 0 .. n//2 as a column,
+    halved at k = n/2, whose a counts its one cell twice."""
+    comb = [math.comb(n, k) * (0.5 if 2 * k == n else 1.0) for k in range(n // 2 + 1)]
+    return np.array(comb)[:, None]
+
+
+def s_rb_rep(n: int, m: int, ch: PauliChannel, inner_type: str = "X") -> float:
+    """Exact S_RB (bits) of the n x m concatenated repetition code.
+
+    ``inner_type`` names the stabilizer type of the inner blocks; the outer
+    layer has the complementary type.  inner_type="Z" is evaluated by
+    conjugating the channel with X<->Z.  m = 1 degenerates to a single
+    [[n,1]] block; n = 1 to a single [[m,1]] outer code.  Raises
+    MultisetBudgetError above MULTISET_BUDGET multisets (a memory guard).
+    """
+    rows = block_atoms(n, ch, inner_type)
+    ngroups = rows.shape[0]
     count = multiset_count(m, ngroups)
-    if count > budget:
+    if count > MULTISET_BUDGET:
         raise MultisetBudgetError(
-            f"{count} multisets for n={n}, m={m} exceed budget {budget}")
+            f"{count} multisets for n={n}, m={m} exceed budget {MULTISET_BUDGET}")
     counts = _compositions(m, ngroups).astype(np.float64)
     log_mult = (gammaln(m + 1.0) - gammaln(counts + 1.0).sum(axis=1))
-    log_w = log_mult + counts @ g.log_w
-    w = np.exp(log_w)
-    q_hat = np.exp(counts @ g.log_absq)
-    if g.zero_q.any():
-        q_hat[counts[:, g.zero_q].sum(axis=1) > 0] = 0.0
-    r_hat_log = counts @ g.log_r
-    if g.zero_r.any():
-        r_hat_log[counts[:, g.zero_r].sum(axis=1) > 0] = -np.inf
+    # log weight, log |q| and log r summed over the blocks, with 0 stored
+    # where |q| or r vanish and those groups masked
+    zero = rows == 0.0
+    log_sums = counts @ np.log(np.where(zero, 1.0, rows))
+    w = np.exp(log_mult + log_sums[:, 0])
+    q_hat = np.exp(log_sums[:, 1])
+    if zero[:, 1].any():
+        q_hat[counts[:, zero[:, 1]].sum(axis=1) > 0] = 0.0
+    r_hat_log = log_sums[:, 2]
+    if zero[:, 2].any():
+        r_hat_log[counts[:, zero[:, 2]].sum(axis=1) > 0] = -np.inf
     # phi_q = E[-ln(1 + prod q) | counts]: the magnitude Q is fixed by the
     # counts and the sign is + with probability (1+Q)/2
     phi_q = -0.5 * (xlogy(1.0 + q_hat, 1.0 + q_hat) + xlogy(1.0 - q_hat, 1.0 - q_hat))

@@ -210,18 +210,11 @@ def test_criterion6_estimator_vs_exact_near_thresholds():
     ids=["5x51-depol", "5x74-twopauli", "5x77-indxz"])
 def test_criterion6_long_rep_peaks(n, m, family, bracket, expected):
     t0 = time.time()
-    lo, hi = bracket
-    f = lambda p: s_rb_estimate(n, m, family, p).s_rb - 1.0
-    assert f(lo) < 0 < f(hi)
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
+    p_star = threshold(parse_stack_spec(f"repX({n}) x repZ({m})"), family,
+                       bracket=bracket, tol=1e-9).p_star
     elapsed = time.time() - t0
     assert elapsed <= 60.0, f"estimator threshold run took {elapsed:.1f}s"
-    _report(f"c6 {n}x{m} {family.kind}", 0.5 * (lo + hi), expected, 2e-6)
+    _report(f"c6 {n}x{m} {family.kind}", p_star, expected, 2e-6)
 
 
 # --- criterion 7: published channel optima re-evaluated ---------------------
@@ -320,16 +313,8 @@ def test_criterion10_stack_oracle(spec):
 # --- figure shape: threshold vs outer length --------------------------------
 
 def _est_threshold(n, m, tol=1e-9):
-    lo, hi = 0.060, 0.0660
-    f = lambda p: s_rb_estimate(n, m, DEPOL, p).s_rb - 1.0
-    assert f(lo) < 0 < f(hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return threshold(parse_stack_spec(f"repX({n}) x repZ({m})"), DEPOL,
+                     bracket=(0.060, 0.0660), tol=tol).p_star
 
 
 def _is_unimodal(values):

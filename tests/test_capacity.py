@@ -4,12 +4,13 @@ import pytest
 import cosetcap.capacity as capacity
 from cosetcap import (ChannelFamily, CodeStack, MonteCarlo, channel_entropy,
                       family_eval, hashing_point, parse_stack_spec, rate,
-                      registry_get, registry_names, sweep, threshold)
+                      registry_get, registry_names, s_rb_rep, sweep, threshold)
 from cosetcap.capacity import NoThresholdError, evaluate_s_rb, nonadditivity
 from cosetcap.codes import rep_type_of
 
 DEPOL = ChannelFamily("depolarizing")
 INDXZ = ChannelFamily("independent_xz")
+TWOP = ChannelFamily("two_pauli")
 
 
 def test_rep_type_detection():
@@ -79,10 +80,24 @@ def test_threshold_tol_refinement_stable():
 def test_threshold_methods_dispatch():
     assert threshold(parse_stack_spec("5qubit"), DEPOL).method == "exact"
     assert threshold(parse_stack_spec("repX(3) x repZ(3)"), DEPOL).method == "grouped"
-    res = threshold(parse_stack_spec("repX(5) x repZ(51)"), DEPOL,
-                    multiset_budget=1000)
+    res = threshold(parse_stack_spec("repX(5) x repZ(51)"), DEPOL)
     assert res.method == "longrep"
     assert res.p_star == pytest.approx(0.0637338273, abs=2e-6)
+
+
+@pytest.mark.parametrize("n,m,method", [
+    (7, 7, "grouped"), (5, 12, "grouped"),
+    (7, 9, "longrep"), (5, 14, "longrep"), (3, 70, "longrep")])
+def test_rep_engine_switch(n, m, method):
+    # the multiset count picks the engine, the same at every p, and both
+    # engines give the multiset sum
+    stack = parse_stack_spec(f"repX({n}) x repZ({m})")
+    for fam in (DEPOL, INDXZ, TWOP):
+        for p in (0.0, 1e-3, 0.0637, 0.11, fam.p_max() - 1e-9):
+            ch = family_eval(fam, p)
+            ev = evaluate_s_rb(stack, ch)
+            assert ev.method == method
+            assert ev.s_rb == pytest.approx(s_rb_rep(n, m, ch), abs=1e-12)
 
 
 def test_threshold_no_sign_change():

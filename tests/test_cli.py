@@ -96,8 +96,8 @@ def test_longrep_row(capsys):
                 "--p", "0.06"])
     assert code == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "p,s_rb,rate"
-    p, s_rb, rr = lines[1].split(",")
+    assert lines[0] == "p,s_rb,rate,method,std_error"
+    p, s_rb, rr, method, se = lines[1].split(",")
     from cosetcap import ChannelFamily, family_eval, s_rb_rep
     want = s_rb_rep(3, 4, family_eval(ChannelFamily("depolarizing"), 0.06))
     assert float(s_rb) == pytest.approx(want, abs=1e-12)

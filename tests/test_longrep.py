@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cosetcap import (ChannelFamily, block_table, family_eval, qr_coefficients,
+from cosetcap import (ChannelFamily, block_atoms, block_table, family_eval,
                       s_rb_estimate, s_rb_rep)
 from cosetcap.longrep import (expect_neg_log1p_moments, expect_neg_log1p_positive,
                               s_rb_estimate_channel)
@@ -15,32 +15,36 @@ FAMILIES = [ChannelFamily("depolarizing"), ChannelFamily("independent_xz"),
 
 
 def test_qr_against_block_table():
+    # the folded rows, rebuilt group by group from the block table
     ch = family_eval(DEPOL, 0.06)
-    table = qr_coefficients(5, ch)
-    bt = block_table(5, "X", ch)
-    for k in range(6):
-        for b in (0, 1):
-            a = bt.h[b, k] + bt.h[b, 5 - k]
-            assert table.q[b, k] == pytest.approx((bt.h[b, k] - bt.h[b, 5 - k]) / a,
-                                                  rel=1e-12)
-            assert table.r[b, k] == pytest.approx(
-                (bt.h[1 - b, k] + bt.h[1 - b, 5 - k]) / a, rel=1e-12)
-            assert table.ln_h_sum[b, k] == pytest.approx(math.log(a), rel=1e-12)
-    assert table.weight.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.all(np.abs(table.q) < 1.0 + 1e-15)
+    for n in (4, 5):
+        h = block_table(n, "X", ch).h
+        want = []
+        for k in range(n // 2 + 1):
+            for b in (0, 1):
+                a = h[b, k] + h[b, n - k]
+                weight = math.comb(n, k) * (h[b, k] if 2 * k == n else a)
+                want.append((weight, abs(h[b, k] - h[b, n - k]) / a,
+                             (h[1 - b, k] + h[1 - b, n - k]) / a))
+        rows = block_atoms(n, ch)
+        assert rows == pytest.approx(np.array(want), rel=1e-12)
+        assert rows[:, 0].sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(rows[:, 1] < 1.0 + 1e-15)
 
 
 def test_qr_single_qubit_blocks():
+    # an [[1,1]] block has the groups {I, Z} and {X, Y}; each splits its
+    # weight (1 +- |q|) / 2 into the raw letter probabilities
     ch = family_eval(DEPOL, 0.1)
-    table = qr_coefficients(1, ch)
-    # h cells of an [[1,1]] block are the raw letter probabilities
-    assert table.weight.ravel() == pytest.approx(
-        [ch.p_i, ch.p_z, ch.p_x, ch.p_y], abs=1e-15)
+    w, absq, _ = block_atoms(1, ch).T
+    assert w * (1.0 + absq) / 2.0 == pytest.approx([ch.p_i, ch.p_x], abs=1e-15)
+    assert w * (1.0 - absq) / 2.0 == pytest.approx([ch.p_z, ch.p_y], abs=1e-15)
 
 
 def test_qr_even_block_midpoint_is_zero():
-    table = qr_coefficients(4, family_eval(DEPOL, 0.06))
-    assert table.q[0, 2] == 0.0 and table.q[1, 2] == 0.0
+    # the k = n/2 groups are the last two rows
+    rows = block_atoms(4, family_eval(DEPOL, 0.06))
+    assert rows[-2:, 1].tolist() == [0.0, 0.0]
 
 
 def _block_atoms(n, ch):
@@ -55,7 +59,7 @@ def _block_atoms(n, ch):
 def _enumerated_q_term(n, m, ch):
     """E[-ln(1 + prod q)] by direct enumeration of all (b, k)^m outcomes.
 
-    Built from the block table, not from qr_coefficients: 1 - |q| is taken
+    Built from the block table, not from block_atoms: 1 - |q| is taken
     as 2 min(h_k, h_{n-k}) / a, so 1 + prod q stays accurate where q
     rounds to -1 at low noise.
     """
@@ -87,9 +91,8 @@ def _enumerated_r_term(n, m, ch):
 
 
 def _r_side(n, m, ch, refine=1):
-    table = qr_coefficients(n, ch)
-    w, r = table.weight.ravel(), table.r.ravel()
-    pos = (w > 0.0) & (r > 0.0)
+    w, _, r = block_atoms(n, ch).T
+    pos = r > 0.0
     return expect_neg_log1p_positive(np.log(r[pos]), w[pos], m, refine=refine)
 
 
@@ -127,10 +130,9 @@ def test_convolved_expectation_matches_enumeration():
         for p in (0.0, 1e-6, 1e-3, 0.02, 0.0637, 0.11, 0.2):
             ch = family_eval(fam, p)
             for n in range(1, 6):
-                table = qr_coefficients(n, ch)
+                w, absq, _ = block_atoms(n, ch).T
                 for m in range(1, 5):
-                    got = expect_neg_log1p_moments(np.abs(table.q.ravel()),
-                                                   table.weight.ravel(), m)
+                    got = expect_neg_log1p_moments(absq, w, m)
                     worst = max(worst, abs(got - _enumerated_q_term(n, m, ch)))
     assert worst <= 1e-12
 
@@ -143,15 +145,23 @@ def _sign_averaged(big_q):
 
 def test_signed_distribution_invariants():
     # the sign pairing the moment series relies on: atoms k and n-k have
-    # opposite q, and the positive one carries (1 + |q|)/2 of the pair
+    # opposite q, and the positive one carries (1 + |q|)/2 of the group
     for fam in FAMILIES:
         for p in (1e-3, 0.06, 0.2):
             for n in (2, 3, 5):
-                table = qr_coefficients(n, family_eval(fam, p))
-                assert table.q == pytest.approx(-table.q[:, ::-1], abs=1e-15)
-                pair = table.weight + table.weight[:, ::-1]
-                assert table.weight == pytest.approx(0.5 * pair * (1.0 + table.q),
-                                                     abs=1e-15)
+                ch = family_eval(fam, p)
+                cells = block_table(n, "X", ch).cell_weights()
+                w, absq, _ = block_atoms(n, ch).T
+                assert w.size == 2 * (n // 2 + 1)  # every group live
+                for i, (k, b) in enumerate((k, b) for k in range(n // 2 + 1)
+                                           for b in (0, 1)):
+                    if 2 * k == n:  # a group of one cell
+                        assert absq[i] == 0.0
+                        assert w[i] == pytest.approx(cells[b, k], abs=1e-15)
+                        continue
+                    pair = sorted((cells[b, k], cells[b, n - k]))
+                    assert w[i] * (1.0 + absq[i]) / 2.0 == pytest.approx(pair[1], abs=1e-15)
+                    assert w[i] * (1.0 - absq[i]) / 2.0 == pytest.approx(pair[0], abs=1e-15)
     # one atom of magnitude c: the expectation is the closed form at Q = c^m,
     # also where c is so close to 1 that the Euler-Maclaurin tail carries it
     for c in (0.0, 0.3, 0.9, 1.0 - 1e-5, 1.0 - 1e-9, 1.0):
@@ -198,8 +208,7 @@ def test_expected_neg_log_q_term_is_nonpositive():
         for p in (0.02, 0.06, 0.1):
             ch = family_eval(fam, p)
             for n in (3, 4, 5):
-                table = qr_coefficients(n, ch)
-                absq, w = np.abs(table.q.ravel()), table.weight.ravel()
+                w, absq, _ = block_atoms(n, ch).T
                 terms = [expect_neg_log1p_moments(absq, w, m) for m in (1, 4, 6, 7)]
                 assert -math.log(2.0) <= terms[0]
                 assert all(a <= b + 1e-15 for a, b in zip(terms, terms[1:]))
@@ -210,8 +219,8 @@ def test_long_outer_code_stays_finite():
     # two_pauli has |q| = 1 atoms (w1 = 0.21): at m = 2000, w1^m and, for
     # large j, (w1 + S)^m underflow to 0, and the q term must stay finite
     ch = family_eval(ChannelFamily("two_pauli"), 0.11)
-    table = qr_coefficients(5, ch)
-    term = expect_neg_log1p_moments(np.abs(table.q.ravel()), table.weight.ravel(), 2000)
+    w, absq, _ = block_atoms(5, ch).T
+    term = expect_neg_log1p_moments(absq, w, 2000)
     assert math.isfinite(term) and term <= 0.0
     est = s_rb_estimate_channel(5, 2000, ch)
     assert math.isfinite(est.s_rb)

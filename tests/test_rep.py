@@ -148,7 +148,7 @@ def test_s_rb_rep_xz_swap_invariance_on_symmetric_channels():
 def test_s_rb_rep_budget():
     ch = family_eval(DEPOL, 0.0637)
     with pytest.raises(MultisetBudgetError):
-        s_rb_rep(5, 500, ch, budget=10_000)
+        s_rb_rep(5, 500, ch)
     assert multiset_count(51, 6) == math.comb(56, 5)
 
 
