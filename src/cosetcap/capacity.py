@@ -14,7 +14,8 @@ Evaluation dispatch, in order, all in ``evaluate_s_rb``:
     inner blocks' folded atoms (method "grouped") up to REP_SWITCH
     multisets, the long-rep estimator on the same atoms above it (method
     "longrep"); both are exact, and the switch sits where the estimator's
-    roughly constant cost meets the sum's per-multiset cost
+    roughly constant cost meets the sum's per-multiset cost (7x11 and
+    5x19 below it, 7x13 and 5x21 above)
   * anything else                     -> effective-channel composition
     (method "grouped"; "exact" for a single layer)
 """
@@ -34,9 +35,11 @@ from .stacks import CodeStack, MonteCarlo, s_rb_stack_exact, s_rb_stack_mc
 
 DEFAULT_TOL = 1e-10
 # n x m repetition shapes with more multisets of the 2 (n//2 + 1) inner
-# block groups than this go to the estimator: 5x12 (6,188) and 7x8 (6,435)
-# are faster by the sum, 7x9 (11,440) and 5x14 (11,628) by the estimator
-REP_SWITCH = 10_000
+# block groups than this go to the estimator: 7x11 (31,824) and 5x19
+# (42,504) are faster by the sum, 7x13 (77,520) and 5x21 (65,780) by the
+# estimator, and the two cost about the same at 7x12 (50,388) and 5x20
+# (53,130), ~2.5 ms each at depolarizing p = 0.0637 on one BLAS thread
+REP_SWITCH = 50_000
 
 
 class NoThresholdError(RuntimeError):

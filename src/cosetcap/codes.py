@@ -41,11 +41,6 @@ class StabilizerCode:
     logical_x: tuple[PauliString, ...]
     logical_z: tuple[PauliString, ...]
 
-    @property
-    def num_checks(self) -> int:
-        """Number of listed generators (may exceed n-k for redundant lists)."""
-        return len(self.generators)
-
     def swap_xz(self) -> "StabilizerCode":
         """The code conjugated by Hadamard on every qubit."""
         sw = lambda p: PauliString(p.n, p.z_bits, p.x_bits)

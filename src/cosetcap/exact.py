@@ -57,7 +57,7 @@ _E4 = np.array([[1.0, 1.0, 1.0, 1.0],
 
 
 class ExhaustiveLimitError(ValueError):
-    """Code too long for the exact engine's configured limit."""
+    """Code longer than EXHAUSTIVE_LIMIT qubits, the exact engine's limit."""
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,12 @@ def _character_table(code: StabilizerCode) -> np.ndarray:
     Bits are the generators, then the (X, Z) logical pairs, little-endian.
     Bit b of v toggles the X parity of the sites where check b has a Z and
     the Z parity of those where it has an X.  Read-only: it is shared.
+    Every Walsh table goes through here, so this is where codes longer
+    than EXHAUSTIVE_LIMIT are refused.
     """
+    if code.n > EXHAUSTIVE_LIMIT:
+        raise ExhaustiveLimitError(
+            f"{code.name}: n={code.n} exceeds exhaustive limit {EXHAUSTIVE_LIMIT}")
     checks = list(code.generators)
     for j in range(code.k):
         checks += [code.logical_x[j], code.logical_z[j]]
@@ -189,16 +194,12 @@ def _batched_cells(code: StabilizerCode, chans: np.ndarray) -> np.ndarray:
     return _cells(code, spec)
 
 
-def coset_distribution(code: StabilizerCode, site_channels,
-                       limit: int = EXHAUSTIVE_LIMIT) -> CosetTable:
+def coset_distribution(code: StabilizerCode, site_channels) -> CosetTable:
     """Exact CosetTable of ``code`` under independent per-site channels.
 
     ``site_channels`` is a sequence of ``code.n`` PauliChannel values (or
     4-vectors in (I, X, Y, Z) order).
     """
-    if code.n > limit:
-        raise ExhaustiveLimitError(
-            f"{code.name}: n={code.n} exceeds exhaustive limit {limit}")
     if len(site_channels) != code.n:
         raise ValueError(f"need {code.n} site channels, got {len(site_channels)}")
     site_probs = np.empty((code.n, 4))
@@ -250,8 +251,7 @@ def batched_s_rb(cells: np.ndarray) -> np.ndarray:
     return out / math.log(2.0)
 
 
-def s_rb_code(code: StabilizerCode, ch: PauliChannel,
-              limit: int = EXHAUSTIVE_LIMIT) -> float:
+def s_rb_code(code: StabilizerCode, ch: PauliChannel) -> float:
     """S_RB of a single code with the same channel on every qubit."""
-    table = coset_distribution(code, [ch] * code.n, limit=limit)
+    table = coset_distribution(code, [ch] * code.n)
     return s_rb_exact(table)

@@ -32,12 +32,21 @@ from scipy.special import gammaln, xlogy
 
 from .channels import PauliChannel
 
-MULTISET_BUDGET = 6_000_000
+# cells of one exact enumeration: count-table entries (multisets x parts)
+# of a multiset table, ordered assignments of a stack layer's product
+ASSIGNMENT_BUDGET = 100_000_000
 _SUM_DIFF = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
-class MultisetBudgetError(ValueError):
-    """Exact multiset enumeration too large; use the long-rep estimator."""
+class StackBudgetError(ValueError):
+    """Exact enumeration exceeds ASSIGNMENT_BUDGET; use Monte Carlo or the
+    long-rep estimator."""
+
+
+def check_budget(cells: int, what: str) -> None:
+    """Refuse an enumeration of more than ASSIGNMENT_BUDGET cells."""
+    if cells > ASSIGNMENT_BUDGET:
+        raise StackBudgetError(f"{what} exceed budget {ASSIGNMENT_BUDGET}")
 
 
 def fgh_eval(kind: str, n: int, k: int, x: float, y: float) -> float:
@@ -60,9 +69,6 @@ class BlockTable:
     n: int
     stabilizer_type: str
     h: np.ndarray
-
-    def multiplicity(self, k: int) -> int:
-        return math.comb(self.n, k)
 
     def cell_weights(self) -> np.ndarray:
         """Probability C(n,k) * h^b_k of landing in each (b, k) cell; sums to 1."""
@@ -126,21 +132,47 @@ def concat_rep_coset_probs(n: int, m: int, ch: PauliChannel,
     return p_s, p_sz, p_sx, p_sy
 
 
-@lru_cache(maxsize=32)
-def _compositions(total: int, parts: int) -> np.ndarray:
-    """All length-``parts`` nonnegative integer vectors summing to ``total``."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int32)
-    blocks = []
-    for t in range(total + 1):
-        sub = _compositions(total - t, parts - 1)
-        first = np.full((sub.shape[0], 1), t, dtype=np.int32)
-        blocks.append(np.hstack([first, sub]))
-    return np.vstack(blocks)
-
-
 def multiset_count(m: int, alphabet: int) -> int:
     return math.comb(m + alphabet - 1, alphabet - 1)
+
+
+def multisets(total: int, parts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every multiset of ``total`` items of ``parts`` kinds, with its log
+    multinomial coefficient ln(total! / prod counts!).
+
+    The (count, parts) float rows of item counts are in lexicographic
+    order, first part slowest.  Both arrays are cached and read-only.
+    Raises StackBudgetError above ASSIGNMENT_BUDGET count cells, before
+    allocating any.
+    """
+    count = multiset_count(total, parts)
+    check_budget(count * parts, f"{count} multisets x {parts} entries")
+    return _multisets(total, parts)
+
+
+@lru_cache(maxsize=32)
+def _multisets(total: int, parts: int) -> tuple[np.ndarray, np.ndarray]:
+    # place one part at a time: a row with ``left`` items still to place
+    # has children t = 0 .. left in order; then read each column back
+    # through the chain of parents
+    left, steps = np.array([total]), []
+    for _ in range(parts - 1):
+        parent = np.repeat(np.arange(left.size), left + 1)
+        t = np.arange(parent.size) - (np.cumsum(left + 1) - left - 1)[parent]
+        left = left[parent] - t
+        steps.append((parent, t))
+    counts = np.empty((left.size, parts), dtype=np.intp)
+    counts[:, -1] = left
+    row = np.arange(left.size)
+    for j in range(parts - 2, -1, -1):
+        parent, t = steps[j]
+        counts[:, j] = t[row]
+        row = parent[row]
+    log_fact = gammaln(np.arange(total + 1) + 1.0)
+    log_coeff = log_fact[total] - log_fact[counts].sum(axis=1)
+    counts = counts.astype(np.float64)
+    counts.flags.writeable = log_coeff.flags.writeable = False
+    return counts, log_coeff
 
 
 def block_atoms(n: int, ch: PauliChannel, inner_type: str = "X") -> np.ndarray:
@@ -182,16 +214,11 @@ def s_rb_rep(n: int, m: int, ch: PauliChannel, inner_type: str = "X") -> float:
     layer has the complementary type.  inner_type="Z" is evaluated by
     conjugating the channel with X<->Z.  m = 1 degenerates to a single
     [[n,1]] block; n = 1 to a single [[m,1]] outer code.  Raises
-    MultisetBudgetError above MULTISET_BUDGET multisets (a memory guard).
+    StackBudgetError where the multisets exceed ASSIGNMENT_BUDGET (a memory
+    guard).
     """
     rows = block_atoms(n, ch, inner_type)
-    ngroups = rows.shape[0]
-    count = multiset_count(m, ngroups)
-    if count > MULTISET_BUDGET:
-        raise MultisetBudgetError(
-            f"{count} multisets for n={n}, m={m} exceed budget {MULTISET_BUDGET}")
-    counts = _compositions(m, ngroups).astype(np.float64)
-    log_mult = (gammaln(m + 1.0) - gammaln(counts + 1.0).sum(axis=1))
+    counts, log_mult = multisets(m, rows.shape[0])
     # log weight, log |q| and log r summed over the blocks, with 0 stored
     # where |q| or r vanish and those groups masked
     zero = rows == 0.0

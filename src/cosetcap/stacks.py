@@ -28,26 +28,21 @@ rows are evaluated in blocks of rows by per-site matmuls.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .channels import PauliChannel, channel_entropy
 from .codes import StabilizerCode, registry_get, rep_type_of, validate_code
-from .exact import (CLASS_OF_LETTER, EXHAUSTIVE_LIMIT, _batched_cells, _cells,
-                    _site_signs, batched_s_rb, coset_distribution)
+from .exact import (CLASS_OF_LETTER, _batched_cells, _cells, _site_signs,
+                    batched_s_rb, coset_distribution)
 from .pauli import PauliString, pauli_mul
+from .rep import StackBudgetError, check_budget, multisets  # the error re-exported
 
-ASSIGNMENT_BUDGET = 100_000_000
 _CHUNK_ELEMS = 1 << 19  # spectrum elements per enumerated chunk or sampled block
 _GROUP_TOL = 1e-12
-
-
-class StackBudgetError(ValueError):
-    """Exact assignment enumeration exceeds the configured budget."""
+_MC_CHUNK = 20_000  # Monte Carlo samples per Philox stream
 
 
 @dataclass(frozen=True)
@@ -173,59 +168,43 @@ def _conditional_channels(cells: np.ndarray):
     return synd, np.ascontiguousarray(cond[..., list(CLASS_OF_LETTER)])
 
 
-def effective_channels(code: StabilizerCode, site_channels,
-                       limit: int = EXHAUSTIVE_LIMIT,
-                       tol: float = _GROUP_TOL,
-                       canonicalize: bool = True) -> EffectiveChannelSet:
+def effective_channels(code: StabilizerCode, site_channels) -> EffectiveChannelSet:
     """Syndrome-conditioned logical channels of a k = 1 code, grouped.
 
-    Syndromes whose conditional (I, X, Y, Z) vectors agree componentwise
-    within ``tol`` are merged into one entry with their summed probability;
-    with ``canonicalize`` (the default) vectors are first reduced modulo
-    the four logical translations, which downstream entropies cannot see.
+    Syndromes whose conditional (I, X, Y, Z) vectors, reduced modulo the
+    four logical translations (which downstream entropies cannot see),
+    agree componentwise within 1e-12 are merged into one entry with their
+    summed probability.
     """
     if code.k != 1:
         raise ValueError(f"effective_channels needs k=1, got k={code.k}")
-    table = coset_distribution(code, site_channels, limit=limit)
+    table = coset_distribution(code, site_channels)
     synd, cond = _conditional_channels(table.probs[None, :, :])
-    return _merge_entries(synd[0], cond[0], tol=tol, canonicalize=canonicalize)
+    return _merge_entries(synd[0], cond[0])
 
 
-def _assignments_multiset(n_entries: int, n_sites: int, budget: int):
-    total = math.comb(n_entries + n_sites - 1, n_sites)
-    # the count matrix below holds total * n_entries floats
-    if total * n_entries > budget:
-        raise StackBudgetError(
-            f"{total} multisets x {n_entries} entries exceed budget {budget}")
-    assign = np.array(list(itertools.combinations_with_replacement(
-        range(n_entries), n_sites)), dtype=np.int64)
-    # log multinomial coefficient of each multiset
-    counts = np.zeros((assign.shape[0], n_entries))
-    for j in range(n_sites):
-        np.add.at(counts, (np.arange(assign.shape[0]), assign[:, j]), 1.0)
-    log_coeff = gammaln(n_sites + 1.0) - gammaln(counts + 1.0).sum(axis=1)
-    return assign, log_coeff
-
-
-def _layer_batches(layer: StabilizerCode, entries: EffectiveChannelSet,
-                   budget: int):
+def _layer_batches(layer: StabilizerCode, entries: EffectiveChannelSet):
     """Yield (log-weights, Walsh spectra) chunks over every assignment of
     ``entries`` to the sites of ``layer``.
 
-    ``table[i, e]`` is the spectrum of entry e on site i.  Multiset
-    assignments of repetition layers multiply rows gathered from it.  The
-    product of all E^n assignments is enumerated in lexicographic order,
-    last site fastest: the products of every combination of the last sites
-    form one block of at most ``chunk`` rows, built once, and each chunk is
-    a few prefix products times that block, one multiply per element.
+    ``table[i, e]`` is the spectrum of entry e on site i.  A repetition
+    layer takes one sorted assignment per multiset of entries, each the
+    product of rows gathered from it.  Other layers take all E^n
+    assignments in lexicographic order, last site fastest: the products
+    of every combination of the last sites form one block of at most
+    ``chunk`` rows, built once, and each chunk is a few prefix products
+    times that block, one multiply per element.  Both enumerations are
+    refused above the assignment budget before they start.
     """
     table = entries.channels @ _site_signs(layer)  # (n, E, 2^bits)
     logw_entry = np.log(entries.weights)
     n_entries, n, size = table.shape[1], layer.n, table.shape[2]
     chunk = max(1, _CHUNK_ELEMS // size)
     if rep_type_of(layer) is not None:
-        assign, log_coeff = _assignments_multiset(n_entries, n, budget)
-        logw = log_coeff + logw_entry[assign].sum(axis=1)
+        counts, log_coeff = multisets(n, n_entries)
+        assign = np.repeat(np.tile(np.arange(n_entries), counts.shape[0]),
+                           counts.ravel().astype(np.intp)).reshape(-1, n)
+        logw = log_coeff + counts @ logw_entry
         for start in range(0, assign.shape[0], chunk):
             idx = assign[start:start + chunk]
             spec = table[0, idx[:, 0]]
@@ -233,10 +212,7 @@ def _layer_batches(layer: StabilizerCode, entries: EffectiveChannelSet,
                 spec *= table[i, idx[:, i]]
             yield logw[start:start + chunk], spec
         return
-    total = n_entries ** n
-    if total > budget:
-        raise StackBudgetError(
-            f"{n_entries}^{n} = {total} assignments exceed budget {budget}")
+    check_budget(n_entries ** n, f"{n_entries}^{n} = {n_entries ** n} assignments")
     block, block_logw = np.ones((1, size)), np.zeros(1)
     n_prefix = n
     while n_prefix > 0 and block.shape[0] * n_entries <= chunk:
@@ -257,14 +233,11 @@ def _layer_batches(layer: StabilizerCode, entries: EffectiveChannelSet,
 
 
 def _layer_effective_set(layer: StabilizerCode, entries: EffectiveChannelSet,
-                         budget: int, tol: float, limit: int,
-                         canonicalize: bool) -> EffectiveChannelSet:
+                         tol: float, canonicalize: bool) -> EffectiveChannelSet:
     if layer.k != 1:
         raise ValueError("inner layers must have k = 1")
-    if layer.n > limit:
-        raise StackBudgetError(f"layer {layer.name} exceeds exhaustive limit")
     all_w, all_ch = [], []
-    for logw, spec in _layer_batches(layer, entries, budget):
+    for logw, spec in _layer_batches(layer, entries):
         synd, cond = _conditional_channels(_cells(layer, spec))
         all_w.append((np.exp(logw)[:, None] * synd).ravel())
         all_ch.append(cond.reshape(-1, 4))
@@ -273,26 +246,24 @@ def _layer_effective_set(layer: StabilizerCode, entries: EffectiveChannelSet,
 
 
 def s_rb_stack_exact(stack: CodeStack, ch: PauliChannel,
-                     budget: int = ASSIGNMENT_BUDGET,
-                     limit: int = EXHAUSTIVE_LIMIT,
                      group_tol: float = _GROUP_TOL,
                      canonicalize: bool = True) -> float:
     """Exact S_RB (bits) of a stack by effective-channel composition.
 
     The zero-layer stack degenerates to the bare channel entropy, so that
-    rate = k - S_RB reproduces the hashing rate 1 - H.
+    rate = k - S_RB reproduces the hashing rate 1 - H.  ``group_tol`` and
+    ``canonicalize`` set how layer entries are grouped (see
+    ``effective_channels``); group_tol=0, canonicalize=False is the raw
+    path, which merges only identical channels.
     """
     if not stack.layers:
         return channel_entropy(ch)
     entries = EffectiveChannelSet(np.ones(1), ch.as_array()[None, :])
     for layer in stack.layers[:-1]:
-        entries = _layer_effective_set(layer, entries, budget, group_tol, limit,
-                                       canonicalize)
+        entries = _layer_effective_set(layer, entries, group_tol, canonicalize)
     top = stack.layers[-1]
-    if top.n > limit:
-        raise StackBudgetError(f"layer {top.name} exceeds exhaustive limit")
     total = 0.0
-    for logw, spec in _layer_batches(top, entries, budget):
+    for logw, spec in _layer_batches(top, entries):
         total += float(np.exp(logw) @ batched_s_rb(_cells(top, spec)))
     return total
 
@@ -304,8 +275,7 @@ def _row_blocks(code: StabilizerCode, count: int) -> list[slice]:
 
 
 def s_rb_stack_mc(stack: CodeStack, ch: PauliChannel, samples: int = 100_000,
-                  seed: int = 0, limit: int = EXHAUSTIVE_LIMIT,
-                  chunk: int = 20_000) -> tuple[float, float]:
+                  seed: int = 0) -> tuple[float, float]:
     """Monte Carlo S_RB estimate over inner-syndrome assignments.
 
     Every sample draws the syndrome class of each block below the top
@@ -313,14 +283,12 @@ def s_rb_stack_mc(stack: CodeStack, ch: PauliChannel, samples: int = 100_000,
     exactly; the estimator is the sample mean and is unbiased.  Each
     sampled layer is evaluated in row blocks of at most ``_CHUNK_ELEMS``
     spectrum elements, which bound the memory of a chunk.  Sampling
-    uses a counter-based Philox generator keyed by (seed, chunk index), so
-    results are reproducible and chunks are independent.
+    uses a counter-based Philox generator keyed by (seed, chunk index),
+    chunks of ``_MC_CHUNK`` samples, so results are reproducible and
+    chunks are independent.
     """
     if len(stack.layers) < 2:
         raise ValueError("Monte Carlo path needs at least two layers")
-    for layer in stack.layers:
-        if layer.n > limit:
-            raise StackBudgetError(f"layer {layer.name} exceeds exhaustive limit")
     # number of blocks of each layer
     nblocks = []
     acc = 1
@@ -331,7 +299,7 @@ def s_rb_stack_mc(stack: CodeStack, ch: PauliChannel, samples: int = 100_000,
 
     # innermost layer sees the physical channel on every block: one table
     inner = stack.layers[0]
-    table0 = coset_distribution(inner, [ch] * inner.n, limit=limit)
+    table0 = coset_distribution(inner, [ch] * inner.n)
     synd0, cond0 = _conditional_channels(table0.probs[None, :, :])
     w0, cond0 = synd0[0], cond0[0]
     cum0 = np.cumsum(w0)
@@ -342,7 +310,7 @@ def s_rb_stack_mc(stack: CodeStack, ch: PauliChannel, samples: int = 100_000,
     done = 0
     chunk_index = 0
     while done < samples:
-        nsamp = min(chunk, samples - done)
+        nsamp = min(_MC_CHUNK, samples - done)
         rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
         draws = rng.random((nsamp, nblocks[0]))
         idx = np.searchsorted(cum0, draws, side="right")

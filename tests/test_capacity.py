@@ -86,8 +86,8 @@ def test_threshold_methods_dispatch():
 
 
 @pytest.mark.parametrize("n,m,method", [
-    (7, 7, "grouped"), (5, 12, "grouped"),
-    (7, 9, "longrep"), (5, 14, "longrep"), (3, 70, "longrep")])
+    (7, 7, "grouped"), (5, 12, "grouped"), (7, 11, "grouped"), (5, 19, "grouped"),
+    (7, 12, "longrep"), (5, 20, "longrep"), (3, 70, "longrep")])
 def test_rep_engine_switch(n, m, method):
     # the multiset count picks the engine, the same at every p, and both
     # engines give the multiset sum

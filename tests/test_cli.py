@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cosetcap
-from cosetcap import registry_get, serialize_code
+from cosetcap import compose_stack, parse_stack_spec, registry_get, serialize_code
 from cosetcap.cli import (EXIT_DIFF, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                           build_parser, run)
 
@@ -122,6 +124,8 @@ def test_tables_runner_table10(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert "34/34 cells PASS" in out
+    # the table's seconds follow its summary
+    assert re.search(r"34/34 cells PASS\ntable10: \d+\.\d\d s\n", out)
 
 
 def test_tables_runner_reports_fail(capsys):
@@ -151,3 +155,18 @@ def test_stack_over_budget_is_numerical_failure(capsys):
     assert run(["threshold", "--code", "repX(5) x 5qubit x repZ(5)",
                 "--channel", "depol"]) == EXIT_NUMERICAL
     assert "exceed budget" in capsys.readouterr().err
+
+
+def test_code_over_engine_limit_is_validation_error(tmp_path, capsys):
+    # a 14-qubit layer is refused by the exact engine with the same exit
+    # code whether it is a stack layer or a single code
+    assert run(["rate", "--code", "repZ(14) x 5qubit", "--channel", "depol",
+                "--p", "0.05"]) == EXIT_VALIDATION
+    assert "exceeds exhaustive limit" in capsys.readouterr().err
+    flat = dataclasses.replace(compose_stack(parse_stack_spec("repZ(2) x steane")),
+                               name="flat14")
+    path = tmp_path / "flat14.code"
+    path.write_text(serialize_code(flat))
+    assert run(["rate", "--code", str(path), "--channel", "depol",
+                "--p", "0.05"]) == EXIT_VALIDATION
+    assert "flat14: n=14 exceeds exhaustive limit" in capsys.readouterr().err

@@ -124,9 +124,9 @@ def test_entropy_reduction_matches_xlogy():
 
 
 def test_exhaustive_limit():
-    code = registry_get("13cyclic")
+    code = registry_get("repZ(14)")
     with pytest.raises(ExhaustiveLimitError):
-        coset_distribution(code, [family_eval(DEPOL, 0.05)] * 13, limit=12)
+        coset_distribution(code, [family_eval(DEPOL, 0.05)] * 14)
 
 
 def test_site_channel_count_checked():

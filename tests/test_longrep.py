@@ -7,7 +7,7 @@ from cosetcap import (ChannelFamily, block_atoms, block_table, family_eval,
                       s_rb_estimate, s_rb_rep)
 from cosetcap.longrep import (expect_neg_log1p_moments, expect_neg_log1p_positive,
                               s_rb_estimate_channel)
-from cosetcap.rep import MultisetBudgetError
+from cosetcap.rep import StackBudgetError
 
 DEPOL = ChannelFamily("depolarizing")
 FAMILIES = [ChannelFamily("depolarizing"), ChannelFamily("independent_xz"),
@@ -252,7 +252,7 @@ def test_estimator_edge_channels(fam):
                 assert math.isfinite(s_rb) and -1e-12 <= s_rb <= 2.0 + 1e-12
                 try:
                     exact = s_rb_rep(n, m, ch)
-                except MultisetBudgetError:
+                except StackBudgetError:
                     continue
                 assert s_rb == pytest.approx(exact, abs=1e-12 if m <= 2 else 1e-11)
 

@@ -9,7 +9,7 @@ from cosetcap import (ChannelFamily, CodeStack, block_table, compose_stack,
                       concat_rep_coset_probs, family_eval, fgh_eval,
                       make_repetition_code, registry_get, s_rb_code, s_rb_rep)
 from cosetcap.exact import coset_distribution
-from cosetcap.rep import MultisetBudgetError, multiset_count
+from cosetcap.rep import StackBudgetError, multiset_count, multisets
 from conftest import random_channels
 
 DEPOL = ChannelFamily("depolarizing")
@@ -145,9 +145,20 @@ def test_s_rb_rep_xz_swap_invariance_on_symmetric_channels():
                 s_rb_rep(n, m, ch, inner_type="Z"), abs=1e-11)
 
 
+@pytest.mark.parametrize("total,parts", [(0, 1), (4, 1), (0, 3), (5, 2), (3, 4), (6, 5)])
+def test_multisets_lists_each_multiset_once_in_order(total, parts):
+    counts, log_coeff = multisets(total, parts)
+    ref = sorted(tuple(np.bincount(np.array(c, dtype=int), minlength=parts))
+                 for c in itertools.combinations_with_replacement(range(parts), total))
+    assert [tuple(row) for row in counts.astype(int)] == ref
+    coeff = [math.factorial(total) / math.prod(map(math.factorial, row)) for row in ref]
+    assert np.allclose(np.exp(log_coeff), coeff, rtol=1e-13, atol=0.0)
+    assert not counts.flags.writeable and not log_coeff.flags.writeable
+
+
 def test_s_rb_rep_budget():
     ch = family_eval(DEPOL, 0.0637)
-    with pytest.raises(MultisetBudgetError):
+    with pytest.raises(StackBudgetError):
         s_rb_rep(5, 500, ch)
     assert multiset_count(51, 6) == math.comb(56, 5)
 

@@ -8,7 +8,7 @@ from cosetcap import (ChannelFamily, CodeStack, MonteCarlo, PauliChannel,
                       compose_stack, effective_channels, family_eval,
                       parse_stack_spec, registry_get, s_rb_code,
                       s_rb_stack_exact, s_rb_stack_mc)
-from cosetcap import stacks
+from cosetcap import rep, stacks
 from cosetcap.exact import _E4, _WHT_BLOCK, _character_table, _inverse_wht
 from cosetcap.stacks import StackBudgetError
 from xor_reference import gather_s_rb, letter_masks
@@ -111,13 +111,14 @@ def test_compose_stack_names_and_validation():
     assert compose_stack(CodeStack(())).n == 1
 
 
-def test_stack_budget_error():
+def test_stack_budget_error(monkeypatch):
+    monkeypatch.setattr(rep, "ASSIGNMENT_BUDGET", 100)
     stack = parse_stack_spec("repZ(5) x biased9")
     with pytest.raises(StackBudgetError):
-        s_rb_stack_exact(stack, CH06, budget=100)
+        s_rb_stack_exact(stack, CH06)
 
 
-def test_repetition_layer_from_a_code_file_takes_the_multiset_path(tmp_path):
+def test_repetition_layer_from_a_code_file_takes_the_multiset_path(tmp_path, monkeypatch):
     # a repetition code by its checks alone (a chain, not the registry's
     # star): the 2 entries of repX(3) give it 6 multisets (12 count cells)
     # against 2^5 = 32 ordered assignments, and a budget of 20 admits only
@@ -127,10 +128,11 @@ def test_repetition_layer_from_a_code_file_takes_the_multiset_path(tmp_path):
                     "LX XXXXX\nLZ ZIIII\n")
     stack = parse_stack_spec(f"repX(3) x {path}")
     assert len(effective_channels(stack.layers[0], [CH06] * 3).weights) == 2
-    got = s_rb_stack_exact(stack, CH06, budget=20)
+    monkeypatch.setattr(rep, "ASSIGNMENT_BUDGET", 20)
+    got = s_rb_stack_exact(stack, CH06)
     assert got == pytest.approx(gather_s_rb(compose_stack(stack), CH06), abs=1e-9)
     with pytest.raises(StackBudgetError):
-        s_rb_stack_exact(parse_stack_spec("repX(3) x 5qubit"), CH06, budget=20)
+        s_rb_stack_exact(parse_stack_spec("repX(3) x 5qubit"), CH06)
 
 
 def test_stack_budget_bounds_multiset_memory():
@@ -161,7 +163,7 @@ def test_mc_agrees_with_exact_within_3_sigma():
     assert abs(est - exact) <= 3.0 * se
 
 
-def test_mc_deterministic_and_chunk_invariant():
+def test_mc_deterministic_and_seed_dependent():
     stack = parse_stack_spec("repZ(3) x repX(3)")
     a = s_rb_stack_mc(stack, CH06, samples=30_000, seed=5)
     b = s_rb_stack_mc(stack, CH06, samples=30_000, seed=5)
