@@ -189,9 +189,13 @@ def bracketed_root(f, lo: float, hi: float, tol: float,
 
     Chandrupatla's method (Adv. Eng. Software 28 (1997) 145): inverse
     quadratic interpolation through the last three points when it is safe,
-    bisection otherwise, every step kept at least tol/2 inside the bracket.
-    Endpoint values the caller already has are passed as ``f_lo``/``f_hi``.
-    Returns (lo, hi, evaluations of f); both ends are evaluated points.
+    bisection otherwise, every step kept at least tol/2 inside it.  An
+    interpolated point that lands across the root but leaves more than half
+    the bracket has overshot; after two overshoots (a kink or noise at the
+    root, where interpolation converges more slowly than bisection) every
+    later step bisects.  Endpoint values the caller already has are passed
+    as ``f_lo``/``f_hi``.  Returns (lo, hi, evaluations of f); both ends are
+    evaluated points.
     """
     evals = 0
     if f_lo is None:
@@ -202,21 +206,24 @@ def bracketed_root(f, lo: float, hi: float, tol: float,
         raise ValueError(f"f does not change sign on [{lo!r}, {hi!r}]: {f_lo!r}, {f_hi!r}")
     # x1 is the newest point, x2 the other bracket end, x3 the one dropped
     x1, f1, x2, f2, x3, f3 = hi, f_hi, lo, f_lo, lo, f_lo
-    t = 0.5
+    t, interpolated, overshoots = 0.5, False, 0
     while abs(x1 - x2) > tol:
         x = x1 + t * (x2 - x1)
         fx, evals = f(x), evals + 1
         if (fx >= 0.0) == (f1 >= 0.0):
             x3, f3 = x1, f1
         else:
+            if interpolated and abs(x - x1) > 0.5 * abs(x2 - x1):
+                overshoots += 1
             x3, f3, x2, f2 = x2, f2, x1, f1
         x1, f1 = x, fx
         xi = (x1 - x2) / (x3 - x2)
         phi = (f1 - f2) / (f3 - f2)
-        t = 0.5
-        if 1.0 - math.sqrt(1.0 - xi) < phi < math.sqrt(xi):
+        t, interpolated = 0.5, False
+        if overshoots < 2 and 1.0 - math.sqrt(1.0 - xi) < phi < math.sqrt(xi):
             t = (f1 / (f1 - f2) * f3 / (f3 - f2)
                  - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3))
+            interpolated = True
         t_min = 0.5 * tol / abs(x1 - x2)
         t = min(max(t, t_min), 1.0 - t_min)
     return (x1, x2, evals) if x1 < x2 else (x2, x1, evals)

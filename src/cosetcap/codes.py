@@ -22,8 +22,11 @@ demand under the names ``repZ(n)`` / ``repX(n)`` (aliases ``<n>repZ`` /
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 from dataclasses import dataclass
+
+import numpy as np
 
 from .pauli import PauliString, anticommutes
 
@@ -52,19 +55,23 @@ class StabilizerCode:
         )
 
 
-def _symplectic_rank(paulis) -> int:
-    """GF(2) rank of the (x|z) row space, via bitmask elimination."""
-    rows = [(p.x_bits << p.n) | p.z_bits for p in paulis]
-    rank = 0
+def _symplectic_basis(paulis) -> list[int]:
+    """A GF(2) basis of the (x|z) row space (rows (x << n) | z), via bitmask
+    elimination."""
     pivots = []
-    for row in rows:
+    for p in paulis:
+        row = (p.x_bits << p.n) | p.z_bits
         for pivot in pivots:
             row = min(row, row ^ pivot)
         if row:
             pivots.append(row)
             pivots.sort(reverse=True)
-            rank += 1
-    return rank
+    return pivots
+
+
+def _symplectic_rank(paulis) -> int:
+    """GF(2) rank of the (x|z) row space."""
+    return len(_symplectic_basis(paulis))
 
 
 def validate_code(code: StabilizerCode) -> None:
@@ -180,6 +187,170 @@ def rep_type_of(code: StabilizerCode) -> str | None:
                for g in code.generators):
             return typ
     return None
+
+
+# splitmix64 finaliser constants, and one key per letter (x + 2z): the
+# colour hashes of site_automorphisms' refinement
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+_LETTER_KEYS = np.array([0x243F6A8885A308D3, 0x13198A2E03707344,
+                         0xA4093822299F31D0, 0x082EFA98EC4E6C89], dtype=np.uint64)
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finaliser, elementwise on wrapping uint64."""
+    x = x + _GOLDEN
+    x = (x ^ (x >> np.uint64(30))) * _MIX[0]
+    x = (x ^ (x >> np.uint64(27))) * _MIX[1]
+    return x ^ (x >> np.uint64(31))
+
+
+def _checks(code: StabilizerCode) -> list[PauliString]:
+    """Generators, then the (X, Z) logical pairs."""
+    return [*code.generators,
+            *(op for j in range(code.k) for op in (code.logical_x[j], code.logical_z[j]))]
+
+
+def _stabilizer_letters(code: StabilizerCode) -> np.ndarray:
+    """Letters x + 2z of every element of S, as a (2^(n-k), n) array."""
+    n = code.n
+    span = np.zeros(1, dtype=np.int64)
+    for row in _symplectic_basis(code.generators):
+        span = np.concatenate([span, span ^ row])
+    sites = np.arange(n)
+    return (span[:, None] >> (n + sites)) & 1 | ((span[:, None] >> sites) & 1) << 1
+
+
+def _permuted(p: PauliString, perm) -> PauliString:
+    """The letter on site i moved to site perm[i]."""
+    x = z = 0
+    for i, j in enumerate(perm):
+        x |= (p.x_bits >> i & 1) << j
+        z |= (p.z_bits >> i & 1) << j
+    return PauliString(p.n, x, z)
+
+
+def _is_automorphism(code: StabilizerCode, perm) -> bool:
+    """True when perm keeps every symplectic product between checks.
+
+    A generator keeps its products with all checks exactly when its image
+    lies in S (which is the set commuting with S and every logical), and a
+    logical keeps them exactly when its image lies in its own coset L·S.
+    """
+    checks = _checks(code)
+    for c in checks:
+        image = _permuted(c, perm)
+        if any(anticommutes(image, d) != anticommutes(c, d) for d in checks):
+            return False
+    return True
+
+
+def _orbit(point: int, gens) -> set[int]:
+    orbit, frontier = {point}, [point]
+    while frontier:
+        p = frontier.pop()
+        for perm in gens:
+            if perm[p] not in orbit:
+                orbit.add(perm[p])
+                frontier.append(perm[p])
+    return orbit
+
+
+@functools.lru_cache(maxsize=64)
+def site_automorphisms(code: StabilizerCode) -> tuple[tuple[int, ...], ...]:
+    """Generators of the site permutations that map every stabilizer
+    generator into S and every logical X_j, Z_j into its own coset L·S.
+
+    ``perm[i]`` is the site that site i moves to; no generators means the
+    trivial group.  Such a permutation maps the errors of each syndrome onto
+    those of one other syndrome and moves their logical class by a logical
+    translation fixed by the syndrome, so S_RB of an assignment of channels
+    to sites, and the effective channels it induces up to the translations
+    no downstream entropy sees, are invariant under it.
+
+    Individualisation and refinement: sites and the 2^(n-k) elements of S
+    (rows) are coloured, each row by the multiset of (site colour, letter)
+    over its sites and each site by the multiset of (row colour, letter)
+    over the rows, until the partition stops splitting.  Colours are
+    splitmix64 hashes, so equal structures get equal colours.  The base
+    individualises a site of the first non-singleton cell until every site
+    has its own colour.  Schreier-Sims then runs from the deepest base
+    point up: at each level only images not yet in the orbit of the
+    generators found so far are searched, a branch is dropped where its
+    colour multisets differ from the base's, and the permutation a
+    discrete colouring forces is accepted only after the exact check
+    ``_is_automorphism``, which also asks that the logicals keep their
+    cosets.  Enumerates S: meant for codes within the exhaustive engine's
+    limit.
+    """
+    letters = _stabilizer_letters(code)
+    n = code.n
+    # flat indices of each row's letter keys into (n, 4) and (rows, 4) tables
+    by_site = letters + 4 * np.arange(n)
+    by_row = letters + 4 * np.arange(letters.shape[0])[:, None]
+    row_start = np.zeros(letters.shape[0], dtype=np.uint64)
+
+    def start(points):
+        sites = np.zeros(n, dtype=np.uint64)
+        sites[list(points)] = np.arange(1, len(points) + 1, dtype=np.uint64)
+        return sites, row_start
+
+    def refine(sites, rows):
+        rows = _mix(rows + _mix(sites[:, None] ^ _LETTER_KEYS).ravel()[by_site].sum(axis=1))
+        return _mix(sites + _mix(rows[:, None] ^ _LETTER_KEYS).ravel()[by_row].sum(axis=0)), rows
+
+    def split(colouring):
+        return tuple(np.unique(c).size for c in colouring)
+
+    # levels[t]: the base's stable colouring with base[:t] individualised,
+    # as (refinement rounds, site colours, sorted site colours, sorted row
+    # colours)
+    base, levels = [], []
+    while True:
+        colouring, rounds = start(base), 0
+        while split(nxt := refine(*colouring)) != split(colouring):
+            colouring, rounds = nxt, rounds + 1
+        sites, rows = colouring
+        levels.append((rounds, sites, np.sort(sites), np.sort(rows)))
+        values, counts = np.unique(sites, return_counts=True)
+        if counts.max() == 1:
+            break
+        base.append(int(np.flatnonzero(sites == values[np.argmax(counts > 1)])[0]))
+
+    def extend(images):
+        """An automorphism with base[i] -> images[i], or None."""
+        t = len(images)
+        rounds, want, want_sites, want_rows = levels[t]
+        sites, rows = start(images)
+        for _ in range(rounds):
+            sites, rows = refine(sites, rows)
+        if not (np.array_equal(np.sort(sites), want_sites)
+                and np.array_equal(np.sort(rows), want_rows)):
+            return None
+        if t == len(base):  # every colour is a single site: the map is forced
+            perm = np.empty(n, dtype=int)
+            perm[np.argsort(want)] = np.argsort(sites)
+            perm = tuple(int(i) for i in perm)
+            ok = (all(perm[b] == i for b, i in zip(base, images))
+                  and _is_automorphism(code, perm))
+            return perm if ok else None
+        for image in np.flatnonzero(sites == want[base[t]]):
+            found = extend(images + [int(image)])
+            if found is not None:
+                return found
+        return None
+
+    gens = []
+    for t in range(len(base) - 1, -1, -1):
+        want = levels[t][1]
+        orbit = _orbit(base[t], gens)
+        for image in np.flatnonzero(want == want[base[t]]):
+            if int(image) not in orbit:
+                found = extend(base[:t] + [int(image)])
+                if found is not None:
+                    gens.append(found)
+                    orbit = _orbit(base[t], gens)
+    return tuple(gens)
 
 
 def trivial_code() -> StabilizerCode:

@@ -37,12 +37,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import PauliChannel
-from .codes import StabilizerCode
+from .codes import StabilizerCode, _checks
 
 EXHAUSTIVE_LIMIT = 13
 _ENTROPY_BLOCK = 1 << 16  # elements per row block of batched_s_rb
 _WHT_BLOCK = 1 << 16  # elements per row block of the inverse transform
 _TINY = np.finfo(float).tiny
+# absolute round-off bound of a coset cell: the inverse transform averages
+# 2^bits spectrum points of magnitude <= 1, each a product of at most
+# EXHAUSTIVE_LIMIT rounded factors; cells below it carry no information
+ROUND_OFF = 64 * np.finfo(float).eps
 
 # class index -> position in a (p_I, p_X, p_Y, p_Z) vector, and its inverse:
 # class bits (anti w/ X?, anti w/ Z?) give I->0, Z->1, X->2, Y->3.
@@ -113,11 +117,8 @@ def _character_table(code: StabilizerCode) -> np.ndarray:
     if code.n > EXHAUSTIVE_LIMIT:
         raise ExhaustiveLimitError(
             f"{code.name}: n={code.n} exceeds exhaustive limit {EXHAUSTIVE_LIMIT}")
-    checks = list(code.generators)
-    for j in range(code.k):
-        checks += [code.logical_x[j], code.logical_z[j]]
     pattern = np.zeros((code.n, 1), dtype=np.uint8)
-    for chk in checks:
+    for chk in _checks(code):
         flip = np.array([2 * ((chk.z_bits >> i) & 1) + ((chk.x_bits >> i) & 1)
                          for i in range(code.n)], dtype=np.uint8)
         pattern = np.concatenate([pattern, pattern ^ flip[:, None]], axis=1)

@@ -72,7 +72,7 @@ def anticommutes(a: PauliString, b: PauliString) -> int:
     """Symplectic inner product: 0 if a and b commute, 1 if they anticommute."""
     if a.n != b.n:
         raise ValueError(f"length mismatch: {a.n} vs {b.n}")
-    return (bin(a.x_bits & b.z_bits).count("1") + bin(a.z_bits & b.x_bits).count("1")) % 2
+    return ((a.x_bits & b.z_bits) ^ (a.z_bits & b.x_bits)).bit_count() & 1
 
 
 def weights(a: PauliString):

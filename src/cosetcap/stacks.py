@@ -10,32 +10,38 @@ the next layer's qubits, and
     S_RB(stack) = sum over assignments  P(assignment) * S_RB(outer layers).
 
 Syndromes of a layer whose conditional logical channels coincide (within a
-tolerance) are grouped.  Repetition layers, recognised from their
-generators (``codes.rep_type_of``), have a stabilizer group that every site
-permutation fixes, so their assignments are grouped further into multisets
-with multinomial weights.  Neither grouping changes the value.  When exact
-enumeration exceeds the budget, the Monte Carlo path samples assignments
-from their product distribution and evaluates the outermost layer exactly
-per sample.
+tolerance) are grouped, and syndromes below the Walsh engine's round-off
+dropped.  A site permutation that keeps every stabilizer in S and every
+logical in its coset L.S (``codes.site_automorphisms``) leaves S_RB of an
+assignment, and its effective channels up to logical translations, as
+they are, so each layer evaluates one assignment per orbit of that group,
+weighted by the orbit size: multisets with multinomial weights for a
+repetition layer (``codes.rep_type_of``, every permutation), orbit labels
+over the E^n assignments for any other.  No grouping changes the value.
+When exact enumeration exceeds the budget, the Monte Carlo path samples
+assignments from their product distribution and evaluates the outermost
+layer exactly per sample.
 
 Every layer goes through the Walsh engine of ``exact``.  Each site of a
 layer takes one of E input channels, so the (n, E, 2^bits) table of their
-spectra is built once per layer from the code's character table;
-enumerated assignments multiply rows of it, and product layers reuse the
-products of every combination of their last sites as one block.  Sampled
-rows are evaluated in blocks of rows by per-site matmuls.
+spectra is built once per layer from the code's character table; each
+orbit representative multiplies a product of its first sites' rows with
+one row of a block holding the products of every combination of its last
+sites.  Sampled rows are evaluated in blocks of rows by per-site matmuls.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import PauliChannel, channel_entropy
-from .codes import StabilizerCode, registry_get, rep_type_of, validate_code
-from .exact import (CLASS_OF_LETTER, _batched_cells, _cells, _site_signs,
+from .codes import (StabilizerCode, registry_get, rep_type_of, site_automorphisms,
+                    validate_code)
+from .exact import (CLASS_OF_LETTER, ROUND_OFF, _batched_cells, _cells, _site_signs,
                     batched_s_rb, coset_distribution)
 from .pauli import PauliString, pauli_mul
 from .rep import StackBudgetError, check_budget, multisets  # the error re-exported
@@ -161,8 +167,13 @@ def _merge_entries(weights: np.ndarray, channels: np.ndarray,
 
 
 def _conditional_channels(cells: np.ndarray):
-    """Per-syndrome weights and conditional logical channels (k = 1 layers)."""
+    """Per-syndrome weights and conditional logical channels (k = 1 layers).
+
+    Syndromes below the Walsh engine's round-off get weight 0: their cells
+    are noise, and so would be their conditional channels.
+    """
     synd = cells.sum(axis=-1)
+    synd[synd <= ROUND_OFF] = 0.0
     cond = np.divide(cells, synd[..., None], out=np.zeros_like(cells),
                      where=synd[..., None] > 0.0)
     return synd, np.ascontiguousarray(cond[..., list(CLASS_OF_LETTER)])
@@ -183,53 +194,105 @@ def effective_channels(code: StabilizerCode, site_channels) -> EffectiveChannelS
     return _merge_entries(synd[0], cond[0])
 
 
-def _layer_batches(layer: StabilizerCode, entries: EffectiveChannelSet):
-    """Yield (log-weights, Walsh spectra) chunks over every assignment of
-    ``entries`` to the sites of ``layer``.
+def _orbit_table(layer: StabilizerCode, n_entries: int) -> tuple[np.ndarray, np.ndarray]:
+    """One representative per orbit of the assignments of ``n_entries``
+    entries to the sites of ``layer`` under its site automorphisms
+    (``codes.site_automorphisms``), and the log size of each orbit.
 
-    ``table[i, e]`` is the spectrum of entry e on site i.  A repetition
-    layer takes one sorted assignment per multiset of entries, each the
-    product of rows gathered from it.  Other layers take all E^n
-    assignments in lexicographic order, last site fastest: the products
-    of every combination of the last sites form one block of at most
-    ``chunk`` rows, built once, and each chunk is a few prefix products
-    times that block, one multiply per element.  Both enumerations are
-    refused above the assignment budget before they start.
+    An assignment is its index in lexicographic order, last site fastest;
+    the representatives are sorted.  A repetition layer's group is every
+    site permutation, so its orbits are the multisets, each represented by
+    its sorted assignment.  Any other layer's orbits are labelled over all
+    E^n assignments (``_orbit_labels``).  Both are refused above the
+    assignment budget before anything is built.
+    """
+    n, e = layer.n, n_entries
+    if rep_type_of(layer) is None:
+        check_budget(e ** n, f"{e}^{n} = {e ** n} assignments")
+        return _orbit_labels(layer, e)
+    counts, log_size = multisets(n, e)
+    assign = np.repeat(np.tile(np.arange(e), counts.shape[0]),
+                       counts.ravel().astype(np.intp)).reshape(-1, n)
+    reps = assign @ (e ** np.arange(n - 1, -1, -1, dtype=np.int64))
+    order = np.argsort(reps)
+    return reps[order], log_size[order]
+
+
+@functools.lru_cache(maxsize=32)
+def _orbit_labels(layer: StabilizerCode, n_entries: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit representatives and log orbit sizes by labelling: every index
+    takes the smallest label reachable through the generators' digit
+    permutations, until the labels stop changing; each label is the
+    smallest index of its orbit.  Read-only: it is shared.
+    """
+    n, e = layer.n, n_entries
+    place = e ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    index = np.arange(e ** n, dtype=np.int64)
+    labels = index
+    while True:
+        before = labels
+        for perm in site_automorphisms(layer):
+            image = np.zeros_like(index)
+            for i in range(n):
+                image += index // place[i] % e * place[perm[i]]
+            labels = np.minimum(labels, labels[image])
+            labels[image] = np.minimum(labels[image], labels)
+            labels = labels[labels]
+        if np.array_equal(labels, before):
+            break
+    reps, sizes = np.unique(labels, return_counts=True)
+    log_size = np.log(sizes)
+    reps.flags.writeable = log_size.flags.writeable = False
+    return reps, log_size
+
+
+def _layer_batches(layer: StabilizerCode, entries: EffectiveChannelSet):
+    """Yield (log-weights, Walsh spectra) chunks over one representative
+    assignment of ``entries`` to the sites of ``layer`` per orbit of its
+    site automorphisms (``_orbit_table``).
+
+    ``table[i, e]`` is the spectrum of entry e on site i.  A representative
+    stands for its whole orbit, so its log weight is the log orbit size
+    plus the ln w of its sites' entries.  The products of every combination
+    of the last sites form one block, of at most ``chunk`` rows and no more
+    than there are representatives, built once.  Each chunk holds whole
+    blocks' worth of representatives, sorted, so those sharing their first
+    sites are contiguous; the first sites' product is formed once per
+    distinct prefix and multiplies the block rows of its representatives,
+    the whole block where it takes every row (as with a trivial group): one
+    multiply per element.
     """
     table = entries.channels @ _site_signs(layer)  # (n, E, 2^bits)
     logw_entry = np.log(entries.weights)
     n_entries, n, size = table.shape[1], layer.n, table.shape[2]
+    reps, log_size = _orbit_table(layer, n_entries)
     chunk = max(1, _CHUNK_ELEMS // size)
-    if rep_type_of(layer) is not None:
-        counts, log_coeff = multisets(n, n_entries)
-        assign = np.repeat(np.tile(np.arange(n_entries), counts.shape[0]),
-                           counts.ravel().astype(np.intp)).reshape(-1, n)
-        logw = log_coeff + counts @ logw_entry
-        for start in range(0, assign.shape[0], chunk):
-            idx = assign[start:start + chunk]
-            spec = table[0, idx[:, 0]]
-            for i in range(1, n):
-                spec *= table[i, idx[:, i]]
-            yield logw[start:start + chunk], spec
-        return
-    check_budget(n_entries ** n, f"{n_entries}^{n} = {n_entries ** n} assignments")
     block, block_logw = np.ones((1, size)), np.zeros(1)
     n_prefix = n
-    while n_prefix > 0 and block.shape[0] * n_entries <= chunk:
+    while n_prefix > 0 and block.shape[0] * n_entries <= min(chunk, reps.size):
         n_prefix -= 1
         block = (table[n_prefix][:, None, :] * block[None, :, :]).reshape(-1, size)
         block_logw = (logw_entry[:, None] + block_logw[None, :]).ravel()
-    place = n_entries ** np.arange(n_prefix - 1, -1, -1)
-    per_chunk = max(1, chunk // block.shape[0])
-    for start in range(0, n_entries ** n_prefix, per_chunk):
-        stop = min(start + per_chunk, n_entries ** n_prefix)
-        digits = np.arange(start, stop)[:, None] // place % n_entries
-        prefix = np.ones((stop - start, size))
+    place = n_entries ** np.arange(n_prefix - 1, -1, -1, dtype=np.int64)
+    step = chunk // block.shape[0] * block.shape[0]
+    for start in range(0, reps.size, step):
+        prefix, suffix = np.divmod(reps[start:start + step], block.shape[0])
+        heads, first, row = np.unique(prefix, return_index=True, return_inverse=True)
+        digits = heads[:, None] // place % n_entries
+        head = np.ones((heads.size, size))
         for i in range(n_prefix):
-            prefix *= table[i, digits[:, i]]
-        spec = (prefix[:, None, :] * block[None, :, :]).reshape(-1, size)
-        logw = logw_entry[digits].sum(axis=1)[:, None] + block_logw[None, :]
-        yield logw.ravel(), spec
+            head *= table[i, digits[:, i]]
+        spec = np.empty((prefix.size, size))
+        for h, (a, b) in enumerate(zip(first, [*first[1:], prefix.size])):
+            if b - a == block.shape[0]:
+                np.multiply(block, head[h], out=spec[a:b])
+            else:
+                # "clip" never clips valid rows; it lets take write out unbuffered
+                np.take(block, suffix[a:b], axis=0, out=spec[a:b], mode="clip")
+                spec[a:b] *= head[h]
+        logw = (log_size[start:start + step] + logw_entry[digits].sum(axis=1)[row]
+                + block_logw[suffix])
+        yield logw, spec
 
 
 def _layer_effective_set(layer: StabilizerCode, entries: EffectiveChannelSet,

@@ -147,6 +147,14 @@ def test_bracketed_root_certificate(f, lo, hi):
     assert values[a] < 0.0 <= values[b]
 
 
+def test_bracketed_root_falls_back_to_bisection_at_a_kink():
+    # interpolation overshoots a kinked root on every other step (57
+    # evaluations without the fallback); bisection alone takes 2 + 40, and
+    # the two overshoots that trigger the fallback cost 2 more
+    _, _, evals = bracketed_root(_kinked, 0.0, 1.0, ROOT_TOL)
+    assert evals <= 44
+
+
 def test_bracketed_root_reuses_endpoint_values():
     calls = []
 

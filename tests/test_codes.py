@@ -1,11 +1,14 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from cosetcap import (PauliString, anticommutes, classify,
                       make_repetition_code, parse_code, pauli_mul, registry_get,
                       registry_names, serialize_code, trivial_code)
-from cosetcap.codes import CodeValidationError, rep_type_of
+from cosetcap.codes import (CodeValidationError, _symplectic_rank, rep_type_of,
+                            site_automorphisms)
 
 P = PauliString.from_text
 
@@ -155,3 +158,69 @@ def test_make_repetition_validates():
         make_repetition_code(3, "Y")
     code = make_repetition_code(2, "X")
     assert [str(g) for g in code.generators] == ["XX"]
+
+
+def _moved(p, perm):
+    """p with the letter of site i on site perm[i]."""
+    letters = ["I"] * p.n
+    for i, j in enumerate(perm):
+        letters[j] = p.letter(i)
+    return P("".join(letters))
+
+
+def _closure(gens, n):
+    """Every product of the generators, as permutation tuples."""
+    group, frontier = {tuple(range(n))}, [tuple(range(n))]
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = tuple(g[p[i]] for i in range(n))
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return group
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_site_automorphisms_keep_stabilizer_and_logical_cosets(name):
+    code = registry_get(name)
+    rank = _symplectic_rank(code.generators)
+    logicals = [*code.logical_x, *code.logical_z]
+    for perm in site_automorphisms(code):
+        assert sorted(perm) == list(range(code.n))
+        for g in code.generators:  # the image lies in S
+            assert _symplectic_rank([*code.generators, _moved(g, perm)]) == rank
+        for op in logicals:  # the image lies in op.S
+            assert _symplectic_rank([*code.generators, pauli_mul(_moved(op, perm), op)]) == rank
+
+
+def _brute_force_group(code):
+    """Every site permutation keeping all symplectic products between the
+    checks, over all n! permutations at once."""
+    checks = [*code.generators, *code.logical_x, *code.logical_z]
+    n = code.n
+    bits = lambda v: (v >> np.arange(n)) & 1
+    x = np.array([bits(c.x_bits) for c in checks])
+    z = np.array([bits(c.z_bits) for c in checks])
+    perms = np.array(list(itertools.permutations(range(n))))
+    gram = (x @ z.T + z @ x.T) % 2
+    # check c moved by perm has letter c[perm^-1[j]] on site j; over all
+    # permutations, indexing by perm instead lists the same set
+    xp, zp = x[:, perms], z[:, perms]  # (checks, n!, n)
+    moved = (xp @ z.T + zp @ x.T) % 2  # (checks, n!, checks)
+    keep = (moved == gram[:, None, :]).all(axis=(0, 2))
+    return {tuple(int(i) for i in p) for p in perms[keep]}
+
+
+@pytest.mark.parametrize("name", [n for n in registry_names() if registry_get(n).n <= 8])
+def test_site_automorphism_group_matches_brute_force(name):
+    code = registry_get(name)
+    assert _closure(site_automorphisms(code), code.n) == _brute_force_group(code)
+
+
+@pytest.mark.parametrize("name,order", [("shor", 1296), ("biased9", 8), ("5qubit", 10),
+                                        ("steane", 168), ("422", 4), ("toric822", 16),
+                                        ("11qubit", 1)])
+def test_site_automorphism_group_orders(name, order):
+    code = registry_get(name)
+    assert len(_closure(site_automorphisms(code), code.n)) == order

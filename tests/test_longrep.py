@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cosetcap import (ChannelFamily, block_atoms, block_table, family_eval,
-                      s_rb_estimate, s_rb_rep)
+                      parse_channel_spec, parse_stack_spec, s_rb_estimate, s_rb_rep)
 from cosetcap.longrep import (expect_neg_log1p_moments, expect_neg_log1p_positive,
                               s_rb_estimate_channel)
 from cosetcap.rep import StackBudgetError
@@ -260,3 +260,18 @@ def test_estimator_edge_channels(fam):
 def test_estimate_family_entry_point():
     est = s_rb_estimate(5, 51, DEPOL, 0.0637338273)
     assert est.s_rb == pytest.approx(1.0, abs=1e-6)
+
+
+def test_sweep_script_leaves_rounding_noise_cells_empty():
+    # 5 x 1001 on the depolarizing channel: S_RB - 1 is within ~1e-13 of 0
+    # over the whole bracket, and its sign there is rounding noise
+    import importlib.util
+    import pathlib
+    path = pathlib.Path(__file__).parents[1] / "scripts" / "sweep_longrep.py"
+    spec = importlib.util.spec_from_file_location("sweep_longrep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    depol = parse_channel_spec("depol")
+    bracket = sweep.BRACKETS["depolarizing"]
+    assert not sweep.above_floor(parse_stack_spec("repX(5) x repZ(1001)"), depol, bracket)
+    assert sweep.above_floor(parse_stack_spec("repX(5) x repZ(51)"), depol, bracket)

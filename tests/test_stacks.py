@@ -9,8 +9,10 @@ from cosetcap import (ChannelFamily, CodeStack, MonteCarlo, PauliChannel,
                       parse_stack_spec, registry_get, s_rb_code,
                       s_rb_stack_exact, s_rb_stack_mc)
 from cosetcap import rep, stacks
+from cosetcap.codes import StabilizerCode, serialize_code, site_automorphisms
 from cosetcap.exact import _E4, _WHT_BLOCK, _character_table, _inverse_wht
-from cosetcap.stacks import StackBudgetError
+from cosetcap.pauli import PauliString
+from cosetcap.stacks import StackBudgetError, _orbit_table
 from xor_reference import gather_s_rb, letter_masks
 
 DEPOL = ChannelFamily("depolarizing")
@@ -72,6 +74,17 @@ def test_effective_channels_five_qubit_structure():
     assert len(es.weights) == 2
     assert np.all(es.channels >= 0)
     assert es.channels.sum(axis=1) == pytest.approx(np.ones(2))
+
+
+@pytest.mark.parametrize("name,count", [("biased9", 3), ("steane", 2), ("shor", 4)])
+def test_effective_channels_drop_round_off_syndromes(name, count):
+    # a channel without Y and Z errors reaches few syndromes; the Walsh
+    # engine leaves round-off (~1e-17) on the others, which must not become
+    # entries of their own
+    code = registry_get(name)
+    es = effective_channels(code, [PauliChannel(0.9, 0.1, 0.0, 0.0)] * code.n)
+    assert len(es.weights) == count
+    es.check_invariants()
 
 
 def test_effective_channels_requires_k1():
@@ -258,9 +271,9 @@ def test_grouped_engine_matches_flat_composition(spec, ch):
 
 @pytest.mark.parametrize("chunk_elems", [1, 3 << 10])
 def test_chunking_never_changes_values(monkeypatch, chunk_elems):
-    # chunks of one assignment, and of a few prefixes times a block of the
-    # last sites, against the flat code; the letters are all distinct so
-    # that every site's spectrum table matters
+    # chunks of one orbit representative, and of a few prefixes times a
+    # block of the last sites, against the flat code; the letters are all
+    # distinct so that every site's spectrum table matters
     ch = PauliChannel(0.8, 0.1, 0.03, 0.07)
     monkeypatch.setattr(stacks, "_CHUNK_ELEMS", chunk_elems)
     for spec in ("repZ(3) x 422", "repZ(2) x 613H", "repZ(2) x repX(2) x 3repX"):
@@ -269,3 +282,67 @@ def test_chunking_never_changes_values(monkeypatch, chunk_elems):
         raw = s_rb_stack_exact(stack, ch, group_tol=0.0, canonicalize=False)
         assert raw == pytest.approx(want, abs=1e-9)
         assert s_rb_stack_exact(stack, ch) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["5qubit", "422", "steane", "toric822", "biased9",
+                                  "11qubit", "repZ(4)"])
+@pytest.mark.parametrize("n_entries", [2, 3])
+def test_orbit_sizes_sum_to_every_assignment(name, n_entries):
+    code = registry_get(name)
+    reps, log_size = _orbit_table(code, n_entries)
+    sizes = np.rint(np.exp(log_size)).astype(np.int64)
+    assert np.allclose(np.log(sizes), log_size, rtol=0.0, atol=1e-12)
+    assert sizes.sum() == n_entries ** code.n
+    assert np.all(np.diff(reps) > 0) and 0 <= reps[0] and reps[-1] < n_entries ** code.n
+
+
+@pytest.mark.parametrize("name,n_entries", [("5qubit", 3), ("422", 3), ("steane", 2)])
+def test_orbits_match_explicit_group_action(name, n_entries):
+    # each representative's orbit, from the whole group acting on digit
+    # tuples, has the size the table gives, and the orbits partition
+    code = registry_get(name)
+    group, frontier = {tuple(range(code.n))}, [tuple(range(code.n))]
+    while frontier:
+        p = frontier.pop()
+        for g in site_automorphisms(code):
+            q = tuple(g[p[i]] for i in range(code.n))
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    reps, log_size = _orbit_table(code, n_entries)
+    seen = set()
+    for rep_index, logs in zip(reps, log_size):
+        digits = np.unravel_index(int(rep_index), (n_entries,) * code.n)
+        orbit = set()
+        for perm in group:
+            moved = [0] * code.n
+            for i, j in enumerate(perm):
+                moved[j] = digits[i]
+            orbit.add(tuple(moved))
+        assert len(orbit) == pytest.approx(np.exp(logs))
+        assert not orbit & seen
+        seen |= orbit
+    assert len(seen) == n_entries ** code.n
+
+
+def _shuffled(code, perm):
+    """The code with the letter of site i moved to site perm[i]."""
+    move = lambda p: PauliString.from_text("".join(p.letter(perm.index(j))
+                                                   for j in range(code.n)))
+    return StabilizerCode(code.name + "-shuffled", code.n, code.k,
+                          tuple(move(g) for g in code.generators),
+                          tuple(move(p) for p in code.logical_x),
+                          tuple(move(p) for p in code.logical_z))
+
+
+@pytest.mark.parametrize("name", ["5qubit", "steane", "toric822", "biased9", "shor"])
+def test_shuffled_sites_give_the_same_stack_value(tmp_path, name):
+    # the same code with its sites relabelled, read from a code file: the
+    # group, orbits and representatives all change, the value does not
+    code = registry_get(name)
+    perm = np.random.default_rng(code.n).permutation(code.n).tolist()
+    path = tmp_path / f"{name}.code"
+    path.write_text(serialize_code(_shuffled(code, perm)))
+    ch = PauliChannel(0.8, 0.1, 0.03, 0.07)
+    want = s_rb_stack_exact(parse_stack_spec(f"repZ(3) x {name}"), ch)
+    assert s_rb_stack_exact(parse_stack_spec(f"repZ(3) x {path}"), ch) == pytest.approx(want, abs=1e-12)
