@@ -14,7 +14,8 @@ from .exact import CosetTable, coset_distribution, s_rb_code, s_rb_exact
 from .stacks import (CodeStack, EffectiveChannelSet, MonteCarlo, compose_stack,
                      effective_channels, parse_stack_spec, s_rb_stack_exact,
                      s_rb_stack_mc)
-from .rep import block_atoms, block_table, concat_rep_coset_probs, fgh_eval, s_rb_rep
+from .rep import (block_entries, block_table, concat_rep_coset_probs, fgh_eval, s_rb_rep,
+                  top_atoms)
 from .longrep import s_rb_estimate
 from .capacity import ThresholdResult, rate, sweep, threshold
 from .optimize import OptimizationResult, nonadditivity_at_hashing, optimize_channel
@@ -30,7 +31,7 @@ __all__ = [
     "CosetTable", "coset_distribution", "s_rb_exact", "s_rb_code",
     "CodeStack", "MonteCarlo", "EffectiveChannelSet", "parse_stack_spec",
     "compose_stack", "effective_channels", "s_rb_stack_exact", "s_rb_stack_mc",
-    "fgh_eval", "block_table", "block_atoms", "concat_rep_coset_probs",
+    "fgh_eval", "block_table", "block_entries", "top_atoms", "concat_rep_coset_probs",
     "s_rb_rep", "s_rb_estimate",
     "rate", "threshold", "sweep", "ThresholdResult",
     "nonadditivity_at_hashing", "optimize_channel", "OptimizationResult",

@@ -8,15 +8,14 @@ rate crosses zero, found by bracketed root (Chandrupatla) and certified by
 its final bracket.
 
 Evaluation dispatch, in order, all in ``evaluate_s_rb``:
-  * empty stack                       -> channel entropy (method "exact")
-  * Monte Carlo strategy              -> syndrome sampling (method "mc")
-  * one or two pure repetition layers -> the exact multiset sum over the
-    inner blocks' folded atoms (method "grouped") up to REP_SWITCH
-    multisets, the long-rep estimator on the same atoms above it (method
-    "longrep"); both are exact, and the switch sits where the estimator's
-    roughly constant cost meets the sum's per-multiset cost (7x11 and
-    5x19 below it, 7x13 and 5x21 above)
-  * anything else                     -> effective-channel composition
+  * empty stack                   -> channel entropy (method "exact")
+  * Monte Carlo strategy          -> syndrome sampling (method "mc")
+  * repetition top layer over any inner stack (``codes.rep_type_of``)
+                                  -> the atom table of the top over its
+    inner entries (``stacks.top_entries``, ``rep.top_atoms``), summed
+    exactly over multisets of atoms (method "grouped") or by the long-rep
+    estimator (method "longrep"), whichever costs less; both are exact
+  * anything else                 -> effective-channel composition
     (method "grouped"; "exact" for a single layer)
 """
 
@@ -29,17 +28,19 @@ from .channels import (ChannelFamily, PauliChannel, bracketed_root, channel_entr
                        entropy_peak, family_eval, hashing_point)
 from .codes import rep_type_of
 from .exact import s_rb_code
-from .longrep import s_rb_estimate_channel
-from .rep import multiset_count, s_rb_rep
-from .stacks import CodeStack, MonteCarlo, s_rb_stack_exact, s_rb_stack_mc
+from .longrep import SERIES_HEAD, estimate_nodes, s_rb_estimate_atoms
+from .rep import multiset_count, s_rb_atoms, top_atoms
+from .stacks import CodeStack, MonteCarlo, s_rb_stack_exact, s_rb_stack_mc, top_entries
 
 DEFAULT_TOL = 1e-10
-# n x m repetition shapes with more multisets of the 2 (n//2 + 1) inner
-# block groups than this go to the estimator: 7x11 (31,824) and 5x19
-# (42,504) are faster by the sum, 7x13 (77,520) and 5x21 (65,780) by the
-# estimator, and the two cost about the same at 7x12 (50,388) and 5x20
-# (53,130), ~2.5 ms each at depolarizing p = 0.0637 on one BLAS thread
-REP_SWITCH = 50_000
+# cost of the atom engines, scale x (overhead + atoms) ns per multiset of
+# the sum and per series term or quadrature node of the estimator; fitted
+# on one BLAS thread of a shared 2-core host, sum / estimator in ms at
+# depolarizing p = 0.0637: 7x12 2.3 / 2.8, 7x14 7.4 / 3.7, 5x20 2.9 / 3.7,
+# 5x23 6.3 / 3.8, 3x70 3.2 / 7.4, 3x110 14.3 / 8.1, 1x20000 0.9 / 348;
+# repX(3) x 5qubit x repZ(3) (56 atoms at p = 1e-3) 5.2 / 18.8
+_SUM_NS = (2.2, 20.0)
+_NODE_NS = (13.0, 8.0)
 
 
 class NoThresholdError(RuntimeError):
@@ -54,20 +55,17 @@ class Evaluation:
     stable: bool = True  # always True; dropped with the benchmark's check of it
 
 
-def _rep_shape(stack: CodeStack):
-    """(n_inner, m_outer, inner_type) for stacks of 1 or 2 repetition layers."""
-    layers = stack.layers
-    types = [rep_type_of(c) for c in layers]
-    if any(t is None for t in types):
-        return None
-    if len(layers) == 1:
-        # a single block is the inner layer of a degenerate concatenation
-        if types[0] == "X":
-            return layers[0].n, 1, "X"
-        return 1, layers[0].n, "X"
-    if len(layers) == 2 and types[0] != types[1]:
-        return layers[0].n, layers[1].n, types[0]
-    return None
+def _evaluate_atoms(rows, m: int) -> Evaluation:
+    """S_RB of a repetition top of length m over its atom table, by the
+    multiset sum ("grouped") or the long-rep estimator ("longrep"),
+    whichever costs less (``_SUM_NS``, ``_NODE_NS``)."""
+    atoms = rows.shape[0]
+    sum_ns = multiset_count(m, atoms) * _SUM_NS[0] * (_SUM_NS[1] + atoms)
+    node_ns = _NODE_NS[0] * (_NODE_NS[1] + atoms)
+    # the estimator takes SERIES_HEAD nodes at least
+    if sum_ns <= SERIES_HEAD * node_ns or sum_ns <= estimate_nodes(rows, m) * node_ns:
+        return Evaluation(s_rb_atoms(rows, m), "grouped")
+    return Evaluation(s_rb_estimate_atoms(rows, m), "longrep")
 
 
 def evaluate_s_rb(stack: CodeStack, ch: PauliChannel) -> Evaluation:
@@ -78,13 +76,11 @@ def evaluate_s_rb(stack: CodeStack, ch: PauliChannel) -> Evaluation:
         mc = stack.strategy
         est, se = s_rb_stack_mc(stack, ch, samples=mc.samples, seed=mc.seed)
         return Evaluation(est, "mc", std_error=se)
-    shape = _rep_shape(stack)
-    if shape is not None:
-        n, m, inner_type = shape
-        if multiset_count(m, 2 * (n // 2 + 1)) <= REP_SWITCH:
-            return Evaluation(s_rb_rep(n, m, ch, inner_type=inner_type), "grouped")
-        est = s_rb_estimate_channel(n, m, ch, inner_type=inner_type)
-        return Evaluation(est.s_rb, "longrep")
+    top_type = rep_type_of(stack.layers[-1])
+    if top_type is not None:
+        entries = top_entries(stack, ch)
+        rows = top_atoms(entries.weights, entries.channels, top_type)
+        return _evaluate_atoms(rows, stack.layers[-1].n)
     if len(stack.layers) == 1:
         return Evaluation(s_rb_code(stack.layers[0], ch), "exact")
     return Evaluation(s_rb_stack_exact(stack, ch), "grouped")

@@ -44,6 +44,9 @@ class StabilizerCode:
     logical_x: tuple[PauliString, ...]
     logical_z: tuple[PauliString, ...]
 
+    def __hash__(self) -> int:  # cheap for caches, which then compare fields
+        return hash((self.name, self.n, self.k))
+
     def swap_xz(self) -> "StabilizerCode":
         """The code conjugated by Hadamard on every qubit."""
         sw = lambda p: PauliString(p.n, p.z_bits, p.x_bits)
@@ -168,6 +171,7 @@ def make_repetition_code(n: int, stabilizer_type: str) -> StabilizerCode:
     return code
 
 
+@functools.lru_cache(maxsize=256)
 def rep_type_of(code: StabilizerCode) -> str | None:
     """'X' or 'Z' when the code is an [[n,1]] single-type repetition code.
 

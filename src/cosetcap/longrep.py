@@ -1,10 +1,10 @@
-"""Entropy estimator for n x m concatenated repetition codes at large m.
+"""Entropy estimator for repetition top layers at large outer length m.
 
-Writing each stabilizer-coset probability of the concatenation in terms of
-the per-block sums a = h^b_k + h^b_{n-k},
+Each block of a repetition top over any inner stack puts mass a = A + B
+on its kept or flipped bit (``rep.top_atoms``), so that
 
-    P_S = (1/2) * prod_i a_i * (1 + prod_i q_i),   q = (h_k - h_{n-k}) / a
-    P_N =        prod_i a_i * (1 + prod_i r_i),    r = a(1-b) / a(b)
+    P_S = (1/2) * prod_i a_i * (1 + prod_i q_i),   q = (A - B) / a
+    P_N =        prod_i a_i * (1 + prod_i r_i),    r = (A' + B') / a
 
 the coset entropies reduce to expectations of -ln(1 + prod q) and
 -ln(1 + prod r) over m independent per-block draws, and the m * E[-ln a]
@@ -12,11 +12,9 @@ terms cancel in S_RB:
 
     S_RB (bits) = 1 + (E[-ln(1 + prod q)] - E[-ln(1 + prod r)]) / ln 2.
 
-Atoms k and n-k share |q| and r, so both expectations run over the rows
-of ``rep.block_atoms``: one per (k <-> n-k, b) group, with its weight,
-|q| and r.
+Both run over the rows of the atom table, with their weight, |q| and r.
 
-q side, an exact moment series.  The atoms k and n-k of a block have
+q side, an exact moment series.  The letters A and B of an atom have
 opposite q and weights in the ratio (1 + |q|) : (1 - |q|), so given the
 magnitudes the product is positive with probability (1 + Q) / 2,
 Q = prod |q_i|.  Averaging that sign out leaves the even power series
@@ -67,14 +65,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import PauliChannel
-from .rep import block_atoms
+from .channels import family_eval
+from .rep import block_entries, top_atoms
 
 SERIES_HEAD = 1 << 14  # J: moment-series terms summed directly
 _HEAD_CHUNK = 2048
 T_MAX = 14.0          # r-side cut: 1 / (t sinh(pi t)) < e^-43 beyond it
 _R_ORDER = 32         # Gauss-Legendre points per r-side panel
 _NODE_BLOCK = 4096    # r-side nodes evaluated together
+_TAIL_PANELS, _TAIL_ORDER = 80, 24  # series-tail quadrature
 
 
 @functools.cache
@@ -93,11 +92,16 @@ def _panels(width: float, first: int, count: int, order: int):
     return ((start + x) * width).ravel(), np.tile(width * w, count)
 
 
+def _r_panels(logr: np.ndarray, m: int) -> int:
+    """r-side panels: at least one per period of the fastest oscillation."""
+    return math.ceil(T_MAX * m * float(np.abs(logr).max()) / (2.0 * math.pi)) + 8
+
+
 def _tail_rule():
-    """Nodes and weights in u = ln(x / J) on [0, 40]: 80 panels of 24-point
-    Gauss-Legendre.  At x = J e^40 ~ 4e21 every |q| < 1 (so
+    """Nodes and weights in u = ln(x / J) on [0, 40]: _TAIL_PANELS panels of
+    _TAIL_ORDER-point Gauss-Legendre.  At x = J e^40 ~ 4e21 every |q| < 1 (so
     |q| <= 1 - 2^-53) has |q|^(2x) = 0 in double precision."""
-    return _panels(0.5, 0, 80, 24)
+    return _panels(40.0 / _TAIL_PANELS, 0, _TAIL_PANELS, _TAIL_ORDER)
 
 
 def _series_term(x: np.ndarray, logq: np.ndarray, wq: np.ndarray,
@@ -108,7 +112,9 @@ def _series_term(x: np.ndarray, logq: np.ndarray, wq: np.ndarray,
     The difference is written as (w1 + S)^m (1 - (w1 / (w1 + S))^m), so
     that neither w1^m underflowing nor S vanishing against w1 loses it.
     """
-    pw = np.exp(2.0 * np.multiply.outer(x, logq))
+    # in place: each (nodes, atoms) temporary freed to the system costs faults
+    pw = np.multiply.outer(x, 2.0 * logq)
+    np.exp(pw, out=pw)
     s = pw @ wq
     total = w1 + s
     frac = np.divide(s, total, out=np.zeros_like(s), where=s > 0.0)
@@ -146,8 +152,11 @@ def _one_minus_re_power(t: np.ndarray, logr: np.ndarray, w: np.ndarray,
                         m: int) -> np.ndarray:
     """1 - Re phi(t)^m, phi(t) = sum_i w_i e^(i t Y_i), accurate as t -> 0."""
     ty = np.multiply.outer(t, logr)
-    u_re = (-2.0 * np.sin(0.5 * ty) ** 2) @ w   # Re(phi - 1)
     u_im = np.sin(ty) @ w
+    ty *= 0.5  # in place, as in _series_term
+    np.sin(ty, out=ty)
+    ty *= ty
+    u_re = -2.0 * (ty @ w)   # Re(phi - 1)
     # ln|phi|^2 = log1p(2 Re u + |u|^2); from |phi|^2 itself where phi is
     # small, so that rounding cannot push the log1p argument below -1
     s = 2.0 * u_re + u_re * u_re + u_im * u_im
@@ -170,8 +179,7 @@ def expect_neg_log1p_positive(logr: np.ndarray, weights: np.ndarray, m: int,
         return 0.0
     live_mass = float(weights.sum())
     w = weights / live_mass
-    panels = refine * (math.ceil(T_MAX * m * float(np.abs(logr).max())
-                                 / (2.0 * math.pi)) + 8)
+    panels = refine * _r_panels(logr, m)
     width = T_MAX / panels
     per_block = _NODE_BLOCK // _R_ORDER
     integral = 0.0
@@ -189,21 +197,32 @@ class LongRepEstimate:
     stable: bool = True  # always True; dropped with the benchmark's check of it
 
 
-def s_rb_estimate_channel(n: int, m: int, ch: PauliChannel,
-                          inner_type: str = "X") -> LongRepEstimate:
-    """Estimated S_RB (bits) of the n x m concatenated repetition code."""
+def s_rb_estimate_atoms(rows: np.ndarray, m: int) -> float:
+    """S_RB (bits) of a repetition top of length m over the atom table
+    ``rows`` (``rep.top_atoms``)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    w, absq, r = block_atoms(n, ch, inner_type).T
+    w, absq, r = rows.T
     e_q = expect_neg_log1p_moments(absq, w, m)
     pos = r > 0.0
     e_r = expect_neg_log1p_positive(np.log(r[pos]), w[pos], m)
-    return LongRepEstimate(1.0 + (e_q - e_r) / math.log(2.0))
+    return 1.0 + (e_q - e_r) / math.log(2.0)
+
+
+def estimate_nodes(rows: np.ndarray, m: int) -> int:
+    """Series terms and quadrature nodes of one ``s_rb_estimate_atoms``
+    call, each evaluated once per atom."""
+    r = rows[:, 2]
+    r = r[r > 0.0]
+    panels = _r_panels(np.log([r.min(), r.max()]), m) if r.size else 0
+    return SERIES_HEAD + _TAIL_PANELS * _TAIL_ORDER + _R_ORDER * panels
 
 
 def s_rb_estimate(n: int, m: int, family, p: float,
                   inner_type: str = "X") -> LongRepEstimate:
-    """Estimator entry point on a channel family at parameter p."""
-    from .channels import family_eval
-    return s_rb_estimate_channel(n, m, family_eval(family, p),
-                                 inner_type=inner_type)
+    """Estimated S_RB (bits) of the n x m concatenated repetition code on a
+    channel family at parameter p; ``inner_type`` names the stabilizer type
+    of the inner blocks, the outer layer has the complementary type."""
+    weights, channels = block_entries(n, inner_type, family_eval(family, p))
+    rows = top_atoms(weights, channels, "Z" if inner_type == "X" else "X")
+    return LongRepEstimate(s_rb_estimate_atoms(rows, m))

@@ -1,5 +1,5 @@
-"""Closed-form coset enumerators for repetition codes and n x m
-bit/phase-flip concatenations.
+"""Closed-form coset enumerators for repetition codes, and the exact S_RB
+of repetition top layers.
 
 For an [[n,1]] repetition code the stabilizer cosets are indexed by the
 support size k of the letters the stabilizer type cannot absorb and a
@@ -11,14 +11,12 @@ where for Z-type blocks (u, v, s, t) = (p_X, p_Y, p_I, p_Z) and for X-type
 blocks (p_Z, p_Y, p_I, p_X).  On the depolarizing channel this reduces to
 the f^e / f^o / g polynomials of the single-variable theory.
 
-An n x m concatenation (inner X-type blocks feeding an outer Z-type code)
-has stabilizer-coset probabilities built from per-block h values by the
-even/odd product combiners F^e / F^o.  The exact S_RB sums over multisets
-of per-block (k, b) outcomes; blocks are interchangeable, and cells with
-k and n-k fold together because only |h_k - h_{n-k}| and h_k + h_{n-k}
-enter, with the residual sign freedom integrating out in closed form:
-conditioned on group counts the product's magnitude Q is fixed and its
-sign is + with probability (1+Q)/2.
+Its conditional logical channels follow in closed form, one per syndrome
+(``block_entries``).  A repetition top over any inner stack needs only the
+weighted conditional channels of its inner blocks: one atom of weight, |q|
+and r per (entry, bit flip) (``top_atoms``), summed exactly over the
+multisets of atoms (``s_rb_atoms``); the n x m bit/phase-flip
+concatenation (``s_rb_rep``) is the case of repetition inner blocks.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .channels import PauliChannel
 
@@ -36,6 +33,7 @@ from .channels import PauliChannel
 # of a multiset table, ordered assignments of a stack layer's product
 ASSIGNMENT_BUDGET = 100_000_000
 _SUM_DIFF = np.array([[1.0, 1.0], [1.0, -1.0]])
+_TINY = np.finfo(float).tiny
 
 
 class StackBudgetError(ValueError):
@@ -168,59 +166,84 @@ def _multisets(total: int, parts: int) -> tuple[np.ndarray, np.ndarray]:
         parent, t = steps[j]
         counts[:, j] = t[row]
         row = parent[row]
-    log_fact = gammaln(np.arange(total + 1) + 1.0)
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(total + 1)])
     log_coeff = log_fact[total] - log_fact[counts].sum(axis=1)
     counts = counts.astype(np.float64)
     counts.flags.writeable = log_coeff.flags.writeable = False
     return counts, log_coeff
 
 
-def block_atoms(n: int, ch: PauliChannel, inner_type: str = "X") -> np.ndarray:
-    """Folded atom table of the inner blocks of an n x m concatenation.
-
-    One row per live (k <-> n-k, b) group, in the order k = 0 .. n//2,
-    b = 0, 1, groups of zero weight left out.  The columns are the group's
-    probability (summing to 1), |q| = |h^b_k - h^b_{n-k}| / a(b) and the
-    b-flip mass ratio r = a(1-b) / a(b), with a(b) = h^b_k + h^b_{n-k}.
-    Both S_RB engines read only these rows.  inner_type="Z" is the X-type
-    table of the X<->Z conjugated channel.
+def block_entries(n: int, stabilizer_type: str, ch: PauliChannel):
+    """Weights and conditional logical channels (I, X, Y, Z) of an [[n,1]]
+    repetition block in the frame of ``codes.make_repetition_code``, one
+    entry per live syndrome k <-> n-k, k = 0 .. n//2.  For an X-type block
+    the entry is (h^0_k, h^1_k, h^1_{n-k}, h^0_{n-k}) / a with weight
+    C(n,k) a, halved at k = n/2; a Z-type block swaps X and Z on both sides.
     """
-    if inner_type == "Z":
-        ch = ch.swap_xz()
-    elif inner_type != "X":
-        raise ValueError("inner_type must be 'X' or 'Z'")
-    h = block_table(n, "X", ch).h.T  # [k, b]
-    hk, hnk = h[:n // 2 + 1], h[::-1][:n // 2 + 1]
-    a = hk + hnk
-    live = a > 0.0
-    a_live = a[live]
-    w = (_fold_comb(n) * a)[live]
-    return np.column_stack([w / w.sum(), np.abs(hk - hnk)[live] / a_live,
-                            a[:, ::-1][live] / a_live])
+    h = block_table(n, stabilizer_type, ch).h
+    b, k, comb = _entry_cells(n, stabilizer_type)
+    joint = h[b, k] * comb
+    weights = joint.sum(axis=1)
+    live = weights > 0.0
+    if not live.all():
+        weights, joint = weights[live], joint[live]
+    return weights, joint / weights[:, None]
+
+
+# per letter I, X, Y, Z: its b, and whether its support is n-k, not k
+_LETTER_CELLS = {"X": ([0, 1, 1, 0], [0, 0, 1, 1]), "Z": ([0, 0, 1, 1], [0, 1, 1, 0])}
 
 
 @lru_cache(maxsize=64)
-def _fold_comb(n: int) -> np.ndarray:
-    """Group weight per unit a: C(n, k) for k = 0 .. n//2 as a column,
-    halved at k = n/2, whose a counts its one cell twice."""
-    comb = [math.comb(n, k) * (0.5 if 2 * k == n else 1.0) for k in range(n // 2 + 1)]
-    return np.array(comb)[:, None]
+def _entry_cells(n: int, stabilizer_type: str):
+    """Cells (b, k) of each entry's letters, and its weight per unit a."""
+    b, far = _LETTER_CELLS[stabilizer_type]
+    k = np.arange(n // 2 + 1)[:, None]
+    comb = [math.comb(n, j) * (0.5 if 2 * j == n else 1.0) for j in range(n // 2 + 1)]
+    return np.array(b), np.where(np.array(far, dtype=bool), n - k, k), np.array(comb)[:, None]
+
+
+# (I, X, Y, Z) -> (A + B, A - B, A' + B') for f = 0, then f = 1, of a Z-type
+# top: (A, B) = (I, Z) or (X, Y), (A', B') from the other f
+_MIX_Z = np.array([[1, 1, 0, 0, 0, 1], [0, 0, 1, 1, 1, 0],
+                   [0, 0, 1, 1, -1, 0], [1, -1, 0, 0, 0, 1]], dtype=float)
+_TOP_MIX = {"Z": _MIX_Z, "X": _MIX_Z[[0, 3, 2, 1]]}  # an X-type top swaps X and Z
+
+
+def top_atoms(weights: np.ndarray, channels: np.ndarray, top_type: str) -> np.ndarray:
+    """Atom table of a repetition top of stabilizer type ``top_type`` over
+    weighted inner entries (channels in (I, X, Y, Z) order): per entry e and
+    kept (f = 0) or flipped (f = 1) bit, the row w_e (A + B), |q| = |A - B|
+    / (A + B), r = (A' + B') / (A + B) (``_TOP_MIX``), rows of zero weight
+    left out.  Both S_RB engines read only these rows.
+    """
+    rows = ((weights[:, None] * channels) @ _TOP_MIX[top_type]).reshape(-1, 3)
+    rows = rows[rows[:, 0] > 0.0]
+    np.abs(rows[:, 1], out=rows[:, 1])
+    rows[:, 1:] /= rows[:, :1]
+    return rows
 
 
 def s_rb_rep(n: int, m: int, ch: PauliChannel, inner_type: str = "X") -> float:
     """Exact S_RB (bits) of the n x m concatenated repetition code.
 
     ``inner_type`` names the stabilizer type of the inner blocks; the outer
-    layer has the complementary type.  inner_type="Z" is evaluated by
-    conjugating the channel with X<->Z.  m = 1 degenerates to a single
+    layer has the complementary type.  m = 1 degenerates to a single
     [[n,1]] block; n = 1 to a single [[m,1]] outer code.  Raises
     StackBudgetError where the multisets exceed ASSIGNMENT_BUDGET (a memory
     guard).
     """
-    rows = block_atoms(n, ch, inner_type)
+    weights, channels = block_entries(n, inner_type, ch)
+    return s_rb_atoms(top_atoms(weights, channels, "Z" if inner_type == "X" else "X"), m)
+
+
+def s_rb_atoms(rows: np.ndarray, m: int) -> float:
+    """Exact S_RB (bits) of a repetition top of length m over its atom table
+    (``top_atoms``) by a sum over multisets of atoms; StackBudgetError
+    where they exceed ASSIGNMENT_BUDGET."""
     counts, log_mult = multisets(m, rows.shape[0])
     # log weight, log |q| and log r summed over the blocks, with 0 stored
-    # where |q| or r vanish and those groups masked
+    # where |q| or r vanish and those atoms masked
     zero = rows == 0.0
     log_sums = counts @ np.log(np.where(zero, 1.0, rows))
     w = np.exp(log_mult + log_sums[:, 0])
@@ -231,7 +254,9 @@ def s_rb_rep(n: int, m: int, ch: PauliChannel, inner_type: str = "X") -> float:
     if zero[:, 2].any():
         r_hat_log[counts[:, zero[:, 2]].sum(axis=1) > 0] = -np.inf
     # phi_q = E[-ln(1 + prod q) | counts]: the magnitude Q is fixed by the
-    # counts and the sign is + with probability (1+Q)/2
-    phi_q = -0.5 * (xlogy(1.0 + q_hat, 1.0 + q_hat) + xlogy(1.0 - q_hat, 1.0 - q_hat))
+    # counts and the sign is + with probability (1+Q)/2; (1 - Q) ln(1 - Q)
+    # is 0 at Q = 1
+    plus, minus = 1.0 + q_hat, 1.0 - q_hat
+    phi_q = -0.5 * (plus * np.log(plus) + minus * np.log(np.maximum(minus, _TINY)))
     phi_r = -np.logaddexp(0.0, r_hat_log)
     return 1.0 + float(w @ (phi_q - phi_r)) / math.log(2.0)

@@ -22,7 +22,9 @@ When exact enumeration exceeds the budget, the Monte Carlo path samples
 assignments from their product distribution and evaluates the outermost
 layer exactly per sample.
 
-Every layer goes through the Walsh engine of ``exact``.  Each site of a
+An innermost repetition layer takes its entries in closed form
+(``rep.block_entries``, ``top_entries``); every other layer goes through
+the Walsh engine of ``exact``.  Each site of a
 layer takes one of E input channels, so the (n, E, 2^bits) table of their
 spectra is built once per layer from the code's character table; each
 orbit representative multiplies a product of its first sites' rows with
@@ -44,7 +46,8 @@ from .codes import (StabilizerCode, registry_get, rep_type_of, site_automorphism
 from .exact import (CLASS_OF_LETTER, ROUND_OFF, _batched_cells, _cells, _site_signs,
                     batched_s_rb, coset_distribution)
 from .pauli import PauliString, pauli_mul
-from .rep import StackBudgetError, check_budget, multisets  # the error re-exported
+from .rep import (StackBudgetError, block_entries,  # the error re-exported
+                  check_budget, multisets)
 
 _CHUNK_ELEMS = 1 << 19  # spectrum elements per enumerated chunk or sampled block
 _GROUP_TOL = 1e-12
@@ -166,14 +169,17 @@ def _merge_entries(weights: np.ndarray, channels: np.ndarray,
     return EffectiveChannelSet(w[order], ch[order])
 
 
-def _conditional_channels(cells: np.ndarray):
-    """Per-syndrome weights and conditional logical channels (k = 1 layers).
-
-    Syndromes below the Walsh engine's round-off get weight 0: their cells
-    are noise, and so would be their conditional channels.
-    """
+def _syndrome_probs(cells: np.ndarray) -> np.ndarray:
+    """Per-syndrome weights of k = 1 cells, 0 below the Walsh engine's
+    round-off: such cells are noise, and so would be their channels."""
     synd = cells.sum(axis=-1)
     synd[synd <= ROUND_OFF] = 0.0
+    return synd
+
+
+def _conditional_channels(cells: np.ndarray):
+    """Per-syndrome weights and conditional logical channels (k = 1 layers)."""
+    synd = _syndrome_probs(cells)
     cond = np.divide(cells, synd[..., None], out=np.zeros_like(cells),
                      where=synd[..., None] > 0.0)
     return synd, np.ascontiguousarray(cond[..., list(CLASS_OF_LETTER)])
@@ -202,9 +208,11 @@ def _orbit_table(layer: StabilizerCode, n_entries: int) -> tuple[np.ndarray, np.
     An assignment is its index in lexicographic order, last site fastest;
     the representatives are sorted.  A repetition layer's group is every
     site permutation, so its orbits are the multisets, each represented by
-    its sorted assignment.  Any other layer's orbits are labelled over all
-    E^n assignments (``_orbit_labels``).  Both are refused above the
-    assignment budget before anything is built.
+    its sorted assignment (middle layers, and ``s_rb_stack_exact`` tops;
+    ``capacity`` reads a repetition top by its atom table).  Any other
+    layer's orbits are labelled over all E^n assignments
+    (``_orbit_labels``).  Both are refused above the assignment budget
+    before anything is built.
     """
     n, e = layer.n, n_entries
     if rep_type_of(layer) is None:
@@ -308,10 +316,53 @@ def _layer_effective_set(layer: StabilizerCode, entries: EffectiveChannelSet,
                           canonicalize=canonicalize)
 
 
+@functools.lru_cache(maxsize=64)
+def _rep_frame(code: StabilizerCode) -> list[int] | slice:
+    """Columns taking closed-form entries to the frame of the code's own
+    logicals, whose class is the parity of their stabilizer-type letters
+    plus 2 for the other letter on every site."""
+    typ = rep_type_of(code)
+
+    def cls(p: PauliString) -> int:
+        same, other = (p.x_bits, p.z_bits) if typ == "X" else (p.z_bits, p.x_bits)
+        return bin(same).count("1") % 2 + 2 * (other != 0)
+
+    letter = [0, 1, 3, 2] if typ == "X" else [0, 3, 1, 2]  # class -> I X Y Z
+    cx, cz = cls(code.logical_x[0]), cls(code.logical_z[0])
+    frame = [0, letter[cx], letter[cx ^ cz], letter[cz]]
+    return slice(None) if frame == [0, 1, 2, 3] else frame
+
+
+def top_entries(stack: CodeStack, ch: PauliChannel, group_tol: float = _GROUP_TOL,
+                canonicalize: bool = True) -> EffectiveChannelSet:
+    """Weighted conditional channels that the layers below the top feed to
+    each of its sites; the bare channel for a single layer.
+
+    An innermost repetition layer gives them in closed form, for any length
+    (``rep.block_entries``), merged like Walsh entries unless a repetition
+    top reads them as its atom table.  Other layers go through the Walsh
+    engine, grouped by ``group_tol`` and ``canonicalize``.
+    """
+    layers = stack.layers[:-1]
+    typ = rep_type_of(layers[0]) if layers else None
+    if typ is None:
+        entries = EffectiveChannelSet(np.ones(1), ch.as_array()[None, :])
+    else:
+        weights, channels = block_entries(layers[0].n, typ, ch)
+        entries = EffectiveChannelSet(weights, channels[:, _rep_frame(layers[0])])
+        if len(layers) > 1 or rep_type_of(stack.layers[-1]) is None:
+            entries = _merge_entries(entries.weights, entries.channels, group_tol, canonicalize)
+        layers = layers[1:]
+    for layer in layers:
+        entries = _layer_effective_set(layer, entries, group_tol, canonicalize)
+    return entries
+
+
 def s_rb_stack_exact(stack: CodeStack, ch: PauliChannel,
                      group_tol: float = _GROUP_TOL,
                      canonicalize: bool = True) -> float:
-    """Exact S_RB (bits) of a stack by effective-channel composition.
+    """Exact S_RB (bits) of a stack by effective-channel composition, every
+    top layer by the Walsh engine.
 
     The zero-layer stack degenerates to the bare channel entropy, so that
     rate = k - S_RB reproduces the hashing rate 1 - H.  ``group_tol`` and
@@ -321,9 +372,7 @@ def s_rb_stack_exact(stack: CodeStack, ch: PauliChannel,
     """
     if not stack.layers:
         return channel_entropy(ch)
-    entries = EffectiveChannelSet(np.ones(1), ch.as_array()[None, :])
-    for layer in stack.layers[:-1]:
-        entries = _layer_effective_set(layer, entries, group_tol, canonicalize)
+    entries = top_entries(stack, ch, group_tol, canonicalize)
     top = stack.layers[-1]
     total = 0.0
     for logw, spec in _layer_batches(top, entries):
@@ -384,11 +433,13 @@ def s_rb_stack_mc(stack: CodeStack, ch: PauliChannel, samples: int = 100_000,
             u = rng.random((rows.shape[0], 1))
             picked = np.empty((rows.shape[0], 4))
             for blk in _row_blocks(layer, rows.shape[0]):
-                synd, cond = _conditional_channels(_batched_cells(layer, rows[blk]))
-                cum = np.cumsum(synd, axis=1)
+                # pick each row's syndrome, then divide only its cells
+                cells = _batched_cells(layer, rows[blk])
+                cum = np.cumsum(_syndrome_probs(cells), axis=1)
                 cum[:, -1] = 1.0
                 pick = (u[blk] > cum).sum(axis=1)
-                picked[blk] = cond[np.arange(pick.size), pick]
+                at = np.arange(pick.size)
+                picked[blk] = _conditional_channels(cells[at, pick, None])[1][:, 0]
             chans = picked.reshape(nsamp, nblocks[li], 4)
         top = stack.layers[-1]
         rows = chans.reshape(nsamp, top.n, 4)

@@ -23,7 +23,9 @@ from cosetcap import (ChannelFamily, CodeStack, MonteCarlo, block_table,
                       compose_stack, concat_rep_coset_probs, family_eval,
                       hashing_point, make_repetition_code,
                       nonadditivity_at_hashing, optimize_channel,
-                      parse_stack_spec, registry_get, s_rb_estimate, s_rb_rep, s_rb_stack_exact, threshold)
+                      parse_stack_spec, registry_get, s_rb_estimate, s_rb_rep, s_rb_stack_exact,
+                      s_rb_stack_mc, threshold)
+from cosetcap.capacity import evaluate_s_rb
 from cosetcap.exact import coset_distribution
 from cosetcap.tables import load_manifest
 from conftest import random_channels
@@ -140,6 +142,24 @@ def test_criterion4_mc_threshold():
           f"threshold: got {res.p_star:.6f} expected 0.063552 "
           f"diff {diff:+.2e} band {band:.2e} (se {res.std_error:.2e})")
     assert abs(diff) <= band
+
+
+def test_criterion4_exact_threshold():
+    # the c4 stack exactly, by the atom table of its repetition top, within
+    # the Monte Carlo band above of the published digit, and Monte Carlo
+    # within 4 sigma of it near the threshold
+    stack = parse_stack_spec("repX(5) x 5qubit x repZ(5)")
+    res = threshold(stack, DEPOL, bracket=(0.0635, 0.0636))
+    band = 3.0 * 5e-7
+    diff = res.p_star - 0.063552
+    print(f"[acceptance] {'PASS' if abs(diff) <= band else 'FAIL'} c4 exact "
+          f"threshold: got {res.p_star:.10f} expected 0.063552 diff {diff:+.2e}")
+    assert abs(diff) <= band
+    for p in (0.063, 0.063552, 0.064):
+        ch = family_eval(DEPOL, p)
+        exact = evaluate_s_rb(stack, ch).s_rb
+        est, se = s_rb_stack_mc(stack, ch, samples=200_000, seed=0)
+        assert abs(est - exact) <= 4.0 * se
 
 
 # --- criterion 5: closed forms vs brute force -------------------------------

@@ -87,17 +87,19 @@ def test_threshold_methods_dispatch():
 
 @pytest.mark.parametrize("n,m,method", [
     (7, 7, "grouped"), (5, 12, "grouped"), (7, 11, "grouped"), (5, 19, "grouped"),
-    (7, 12, "longrep"), (5, 20, "longrep"), (3, 70, "longrep")])
+    (7, 12, "grouped"), (5, 20, "grouped"), (3, 70, "grouped"), (1, 1000, "grouped"),
+    (7, 14, "longrep"), (5, 23, "longrep"), (3, 110, "longrep")])
 def test_rep_engine_switch(n, m, method):
-    # the multiset count picks the engine, the same at every p, and both
-    # engines give the multiset sum
-    stack = parse_stack_spec(f"repX({n}) x repZ({m})")
+    # the cost rule picks the engine on the atom table, so the choice can
+    # move with p (at p = 0 every top has one atom); at the depolarizing
+    # point where its constants were fitted it is the listed one, and both
+    # engines give the multiset sum at every p
+    stack = parse_stack_spec(f"repX({n}) x repZ({m})" if n > 1 else f"repZ({m})")
+    assert evaluate_s_rb(stack, family_eval(DEPOL, 0.0637)).method == method
     for fam in (DEPOL, INDXZ, TWOP):
         for p in (0.0, 1e-3, 0.0637, 0.11, fam.p_max() - 1e-9):
             ch = family_eval(fam, p)
-            ev = evaluate_s_rb(stack, ch)
-            assert ev.method == method
-            assert ev.s_rb == pytest.approx(s_rb_rep(n, m, ch), abs=1e-12)
+            assert evaluate_s_rb(stack, ch).s_rb == pytest.approx(s_rb_rep(n, m, ch), abs=1e-12)
 
 
 def test_threshold_no_sign_change():

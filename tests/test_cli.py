@@ -142,6 +142,22 @@ def _python_m(*argv):
                           text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path))
 
 
+def test_import_loads_no_scipy():
+    # scipy serves only the tests; importing the library must not load it
+    src = str(Path(cosetcap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c",
+                          "import sys, cosetcap; sys.exit('scipy' in sys.modules)"],
+                         timeout=300, env=dict(os.environ, PYTHONPATH=path))
+    assert res.returncode == 0
+
+
+def test_long_innermost_repetition_layer_has_a_threshold(capsys):
+    # the innermost layer's entries come in closed form, for any length
+    assert run(["threshold", "--code", "repZ(21) x 5qubit", "--channel", "depol"]) == EXIT_OK
+    assert "grouped" in capsys.readouterr().out
+
+
 def test_python_m_entry_point():
     assert _python_m("codes", "list").returncode == EXIT_OK
     res = _python_m("tables", "--name", "table10", "--tol", "1e-12")
@@ -150,17 +166,18 @@ def test_python_m_entry_point():
 
 
 def test_stack_over_budget_is_numerical_failure(capsys):
-    # the top repX(5) has 15,020,334 multisets over 69 entries: refused by
-    # the assignment budget before any enumeration
-    assert run(["threshold", "--code", "repX(5) x 5qubit x repZ(5)",
+    # the steane top over the 69 entries of repX(5) x 5qubit has 69^7
+    # assignments: refused by the assignment budget before any enumeration
+    assert run(["threshold", "--code", "repX(5) x 5qubit x steane",
                 "--channel", "depol"]) == EXIT_NUMERICAL
     assert "exceed budget" in capsys.readouterr().err
 
 
 def test_code_over_engine_limit_is_validation_error(tmp_path, capsys):
     # a 14-qubit layer is refused by the exact engine with the same exit
-    # code whether it is a stack layer or a single code
-    assert run(["rate", "--code", "repZ(14) x 5qubit", "--channel", "depol",
+    # code whether it is a stack layer or a single code; only an innermost
+    # repetition layer takes its entries in closed form, for any length
+    assert run(["rate", "--code", "5qubit x repZ(14) x 5qubit", "--channel", "depol",
                 "--p", "0.05"]) == EXIT_VALIDATION
     assert "exceeds exhaustive limit" in capsys.readouterr().err
     flat = dataclasses.replace(compose_stack(parse_stack_spec("repZ(2) x steane")),

@@ -3,15 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from cosetcap import (ChannelFamily, block_atoms, block_table, family_eval,
-                      parse_channel_spec, parse_stack_spec, s_rb_estimate, s_rb_rep)
+from cosetcap import (ChannelFamily, block_entries, block_table, family_eval,
+                      parse_channel_spec, parse_stack_spec, s_rb_estimate, s_rb_rep,
+                      top_atoms)
 from cosetcap.longrep import (expect_neg_log1p_moments, expect_neg_log1p_positive,
-                              s_rb_estimate_channel)
+                              s_rb_estimate_atoms)
 from cosetcap.rep import StackBudgetError
 
 DEPOL = ChannelFamily("depolarizing")
 FAMILIES = [ChannelFamily("depolarizing"), ChannelFamily("independent_xz"),
             ChannelFamily("two_pauli")]
+
+
+def _atoms(n, ch):
+    """Atom table of the X-type n-blocks under a Z-type top."""
+    return top_atoms(*block_entries(n, "X", ch), "Z")
+
+
+def _estimate(n, m, ch):
+    return s_rb_estimate_atoms(_atoms(n, ch), m)
 
 
 def test_qr_against_block_table():
@@ -26,7 +36,7 @@ def test_qr_against_block_table():
                 weight = math.comb(n, k) * (h[b, k] if 2 * k == n else a)
                 want.append((weight, abs(h[b, k] - h[b, n - k]) / a,
                              (h[1 - b, k] + h[1 - b, n - k]) / a))
-        rows = block_atoms(n, ch)
+        rows = _atoms(n, ch)
         assert rows == pytest.approx(np.array(want), rel=1e-12)
         assert rows[:, 0].sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(rows[:, 1] < 1.0 + 1e-15)
@@ -36,14 +46,14 @@ def test_qr_single_qubit_blocks():
     # an [[1,1]] block has the groups {I, Z} and {X, Y}; each splits its
     # weight (1 +- |q|) / 2 into the raw letter probabilities
     ch = family_eval(DEPOL, 0.1)
-    w, absq, _ = block_atoms(1, ch).T
+    w, absq, _ = _atoms(1, ch).T
     assert w * (1.0 + absq) / 2.0 == pytest.approx([ch.p_i, ch.p_x], abs=1e-15)
     assert w * (1.0 - absq) / 2.0 == pytest.approx([ch.p_z, ch.p_y], abs=1e-15)
 
 
 def test_qr_even_block_midpoint_is_zero():
     # the k = n/2 groups are the last two rows
-    rows = block_atoms(4, family_eval(DEPOL, 0.06))
+    rows = _atoms(4, family_eval(DEPOL, 0.06))
     assert rows[-2:, 1].tolist() == [0.0, 0.0]
 
 
@@ -59,7 +69,7 @@ def _block_atoms(n, ch):
 def _enumerated_q_term(n, m, ch):
     """E[-ln(1 + prod q)] by direct enumeration of all (b, k)^m outcomes.
 
-    Built from the block table, not from block_atoms: 1 - |q| is taken
+    Built from the block table, not from the atom table: 1 - |q| is taken
     as 2 min(h_k, h_{n-k}) / a, so 1 + prod q stays accurate where q
     rounds to -1 at low noise.
     """
@@ -91,7 +101,7 @@ def _enumerated_r_term(n, m, ch):
 
 
 def _r_side(n, m, ch, refine=1):
-    w, _, r = block_atoms(n, ch).T
+    w, _, r = _atoms(n, ch).T
     pos = r > 0.0
     return expect_neg_log1p_positive(np.log(r[pos]), w[pos], m, refine=refine)
 
@@ -130,7 +140,7 @@ def test_convolved_expectation_matches_enumeration():
         for p in (0.0, 1e-6, 1e-3, 0.02, 0.0637, 0.11, 0.2):
             ch = family_eval(fam, p)
             for n in range(1, 6):
-                w, absq, _ = block_atoms(n, ch).T
+                w, absq, _ = _atoms(n, ch).T
                 for m in range(1, 5):
                     got = expect_neg_log1p_moments(absq, w, m)
                     worst = max(worst, abs(got - _enumerated_q_term(n, m, ch)))
@@ -151,7 +161,7 @@ def test_signed_distribution_invariants():
             for n in (2, 3, 5):
                 ch = family_eval(fam, p)
                 cells = block_table(n, "X", ch).cell_weights()
-                w, absq, _ = block_atoms(n, ch).T
+                w, absq, _ = _atoms(n, ch).T
                 assert w.size == 2 * (n // 2 + 1)  # every group live
                 for i, (k, b) in enumerate((k, b) for k in range(n // 2 + 1)
                                            for b in (0, 1)):
@@ -183,8 +193,8 @@ def test_estimate_m1_reduces_to_block_value():
     for fam in FAMILIES:
         ch = family_eval(fam, 0.09)
         for n in (3, 4, 5):
-            est = s_rb_estimate_channel(n, 1, ch)
-            assert est.s_rb == pytest.approx(s_rb_rep(n, 1, ch), abs=1e-12)
+            est = _estimate(n, 1, ch)
+            assert est == pytest.approx(s_rb_rep(n, 1, ch), abs=1e-12)
 
 
 @pytest.mark.parametrize("fam,p_lo,p_hi", [
@@ -197,8 +207,8 @@ def test_estimator_matches_exact_near_thresholds(fam, p_lo, p_hi):
         for m in (2, 5, 9, 12):
             for p in (p_lo, 0.5 * (p_lo + p_hi), p_hi):
                 ch = family_eval(family, p)
-                est = s_rb_estimate_channel(n, m, ch)
-                assert est.s_rb == pytest.approx(s_rb_rep(n, m, ch), abs=1e-12)
+                est = _estimate(n, m, ch)
+                assert est == pytest.approx(s_rb_rep(n, m, ch), abs=1e-12)
 
 
 def test_expected_neg_log_q_term_is_nonpositive():
@@ -208,7 +218,7 @@ def test_expected_neg_log_q_term_is_nonpositive():
         for p in (0.02, 0.06, 0.1):
             ch = family_eval(fam, p)
             for n in (3, 4, 5):
-                w, absq, _ = block_atoms(n, ch).T
+                w, absq, _ = _atoms(n, ch).T
                 terms = [expect_neg_log1p_moments(absq, w, m) for m in (1, 4, 6, 7)]
                 assert -math.log(2.0) <= terms[0]
                 assert all(a <= b + 1e-15 for a, b in zip(terms, terms[1:]))
@@ -219,11 +229,10 @@ def test_long_outer_code_stays_finite():
     # two_pauli has |q| = 1 atoms (w1 = 0.21): at m = 2000, w1^m and, for
     # large j, (w1 + S)^m underflow to 0, and the q term must stay finite
     ch = family_eval(ChannelFamily("two_pauli"), 0.11)
-    w, absq, _ = block_atoms(5, ch).T
+    w, absq, _ = _atoms(5, ch).T
     term = expect_neg_log1p_moments(absq, w, 2000)
     assert math.isfinite(term) and term <= 0.0
-    est = s_rb_estimate_channel(5, 2000, ch)
-    assert math.isfinite(est.s_rb)
+    assert math.isfinite(_estimate(5, 2000, ch))
 
 
 def test_estimator_matches_exact_across_p():
@@ -234,8 +243,8 @@ def test_estimator_matches_exact_across_p():
             ch = family_eval(fam, p)
             for n in (3, 5, 7):
                 for m in (2, 5, 12):
-                    est = s_rb_estimate_channel(n, m, ch)
-                    assert est.s_rb == pytest.approx(s_rb_rep(n, m, ch), abs=1e-12)
+                    est = _estimate(n, m, ch)
+                    assert est == pytest.approx(s_rb_rep(n, m, ch), abs=1e-12)
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.kind)
@@ -248,7 +257,7 @@ def test_estimator_edge_channels(fam):
         ch = family_eval(fam, p)
         for n in (1, 3, 5):
             for m in (1, 2, 2000):
-                s_rb = s_rb_estimate_channel(n, m, ch).s_rb
+                s_rb = _estimate(n, m, ch)
                 assert math.isfinite(s_rb) and -1e-12 <= s_rb <= 2.0 + 1e-12
                 try:
                     exact = s_rb_rep(n, m, ch)

@@ -2,15 +2,17 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from cosetcap import (ChannelFamily, CodeStack, MonteCarlo, PauliChannel,
                       compose_stack, effective_channels, family_eval,
-                      parse_stack_spec, registry_get, s_rb_code,
-                      s_rb_stack_exact, s_rb_stack_mc)
-from cosetcap import rep, stacks
+                      make_repetition_code, parse_code, parse_stack_spec,
+                      registry_get, s_rb_code, s_rb_stack_exact, s_rb_stack_mc)
+from cosetcap import capacity, rep, stacks
 from cosetcap.codes import StabilizerCode, serialize_code, site_automorphisms
-from cosetcap.exact import _E4, _WHT_BLOCK, _character_table, _inverse_wht
+from cosetcap.exact import (_E4, _WHT_BLOCK, _cells, _character_table, _inverse_wht,
+                            batched_s_rb)
+from cosetcap.longrep import s_rb_estimate_atoms
 from cosetcap.pauli import PauliString
 from cosetcap.stacks import StackBudgetError, _orbit_table
 from xor_reference import gather_s_rb, letter_masks
@@ -267,6 +269,95 @@ def test_grouped_engine_matches_flat_composition(spec, ch):
     assert grouped == pytest.approx(gather_s_rb(compose_stack(stack), ch), abs=1e-9)
     raw = s_rb_stack_exact(stack, ch, group_tol=0.0, canonicalize=False)
     assert raw == pytest.approx(grouped, abs=1e-12)
+
+
+# inner layers of n <= 7 for random repetition tops; middle layers whose
+# enumeration stays small
+_ATOM_INNER = ["3repX", "3repZ", "4repZ", "repX(2)", "repZ(2)", "5qubit", "613H",
+               "7repX", "steane"]
+_ATOM_MIDDLE = [None, "3repZ", "repX(2)", "5qubit"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(inner=st.sampled_from(_ATOM_INNER), middle=st.sampled_from(_ATOM_MIDDLE),
+       top=st.sampled_from("XZ"), m=st.integers(2, 3), ch=pauli_channels())
+def test_atom_engines_match_the_walsh_top(inner, middle, top, m, ch):
+    # a repetition top by its atom table, through the multiset sum and the
+    # estimator, against the Walsh engine on the same inner entries
+    stack = parse_stack_spec(" x ".join(filter(None, [inner, middle, f"rep{top}({m})"])))
+    try:
+        want = s_rb_stack_exact(stack, ch)
+    except StackBudgetError:
+        reject()
+    entries = stacks.top_entries(stack, ch)
+    rows = rep.top_atoms(entries.weights, entries.channels, top)
+    assert s_rb_estimate_atoms(rows, m) == pytest.approx(want, abs=1e-12)
+    if rep.multiset_count(m, rows.shape[0]) * rows.shape[0] <= rep.ASSIGNMENT_BUDGET:
+        assert rep.s_rb_atoms(rows, m) == pytest.approx(want, abs=1e-12)
+    assert capacity.evaluate_s_rb(stack, ch).s_rb == pytest.approx(want, abs=1e-12)
+
+
+def _sorted_entries(entries):
+    keys = np.column_stack([entries.weights, entries.channels])
+    return keys[np.lexsort(np.round(keys, 9).T[::-1])]
+
+
+@pytest.mark.parametrize("typ", ["X", "Z"])
+def test_closed_form_entries_match_walsh_entries(typ):
+    # merged like Walsh entries, the closed form gives the same entries
+    # wherever the Walsh path has no round-off entries of its own
+    channels = [CH06, family_eval(ChannelFamily("independent_xz"), 0.1),
+                PauliChannel(0.8, 0.1, 0.03, 0.07)]
+    for n in range(2, 14):
+        code = make_repetition_code(n, typ)
+        for ch in channels:
+            walsh = effective_channels(code, [ch] * n)
+            closed = stacks._merge_entries(*rep.block_entries(n, typ, ch))
+            assert closed.weights.size <= walsh.weights.size
+            if closed.weights.size < walsh.weights.size:
+                assert n >= 8  # round-off entries of the longer Walsh tables
+                continue
+            assert np.abs(_sorted_entries(closed) - _sorted_entries(walsh)).max() <= 1e-12
+
+
+def test_closed_form_entries_follow_the_code_frame():
+    # repetition codes whose logicals are not make_repetition_code's: logical
+    # Z of the X-type code and logical X of the Z-type one carry a Y
+    ch = PauliChannel(0.9, 0.03, 0.05, 0.02)
+    for text in ("name xrepY\nnk 3 1\nG XXI\nG XIX\nLX XII\nLZ YZZ\n",
+                 "name zrepY\nnk 3 1\nG ZZI\nG ZIZ\nLX YXX\nLZ ZII\n"):
+        inner = parse_code(text)
+        for top in ("repZ(3)", "repX(2)", "422"):
+            stack = CodeStack((inner, registry_get(top)))
+            want = s_rb_code(compose_stack(stack), ch)
+            assert s_rb_stack_exact(stack, ch) == pytest.approx(want, abs=1e-12)
+            assert capacity.evaluate_s_rb(stack, ch).s_rb == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec,family,p", [
+    ("repZ(7) x steane", "independent_xz", 0.01), ("repZ(7) x steane", "depolarizing", 1e-3),
+    ("repZ(13) x 5qubit", "depolarizing", 0.03), ("repZ(5) x biased9", "independent_xz", 1e-3),
+    ("repZ(7) x 5qubit", "independent_xz", 0.01), ("repZ(21) x 5qubit", "depolarizing", 0.03)])
+def test_low_noise_innermost_repetition_layers_evaluate(spec, family, p):
+    # Walsh entries of these innermost layers carry round-off entries (27
+    # for repZ(7) at independent X/Z p = 0.01, against 4 in closed form),
+    # or the layer exceeds 13 qubits: each of them once failed or took
+    # seconds to minutes
+    t0 = time.perf_counter()
+    got = s_rb_stack_exact(parse_stack_spec(spec), family_eval(ChannelFamily(family), p))
+    assert np.isfinite(got) and 0.0 <= got <= 2.0
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_closed_form_innermost_layer_matches_the_walsh_path():
+    # the same stack with its innermost layer's entries by the Walsh engine
+    ch = family_eval(DEPOL, 1e-3)
+    stack = parse_stack_spec("repZ(7) x 5qubit")
+    inner, top = stack.layers
+    entries = effective_channels(inner, [ch] * inner.n)
+    want = sum(float(np.exp(logw) @ batched_s_rb(_cells(top, spec)))
+               for logw, spec in stacks._layer_batches(top, entries))
+    assert s_rb_stack_exact(stack, ch) == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("chunk_elems", [1, 3 << 10])
