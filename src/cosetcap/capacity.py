@@ -33,7 +33,7 @@ from .rep import multiset_count, s_rb_atoms, top_atoms
 from .stacks import CodeStack, MonteCarlo, s_rb_stack_exact, s_rb_stack_mc, top_entries
 
 DEFAULT_TOL = 1e-10
-# cost of the atom engines, scale x (overhead + atoms) ns per multiset of
+# cost of the atom engines in ns, scale x (overhead + atoms) per multiset of
 # the sum and per series term or quadrature node of the estimator; fitted
 # on one BLAS thread of a shared 2-core host, sum / estimator in ms at
 # depolarizing p = 0.0637: 7x12 2.3 / 2.8, 7x14 7.4 / 3.7, 5x20 2.9 / 3.7,
@@ -62,7 +62,8 @@ def _evaluate_atoms(rows, m: int) -> Evaluation:
     atoms = rows.shape[0]
     sum_ns = multiset_count(m, atoms) * _SUM_NS[0] * (_SUM_NS[1] + atoms)
     node_ns = _NODE_NS[0] * (_NODE_NS[1] + atoms)
-    # the estimator takes SERIES_HEAD nodes at least
+    # the estimator takes SERIES_HEAD nodes at least: a sum cheaper than
+    # that skips estimate_nodes, ~10 us against a 3x3 evaluation's ~60 us
     if sum_ns <= SERIES_HEAD * node_ns or sum_ns <= estimate_nodes(rows, m) * node_ns:
         return Evaluation(s_rb_atoms(rows, m), "grouped")
     return Evaluation(s_rb_estimate_atoms(rows, m), "longrep")

@@ -73,7 +73,6 @@ _HEAD_CHUNK = 2048
 T_MAX = 14.0          # r-side cut: 1 / (t sinh(pi t)) < e^-43 beyond it
 _R_ORDER = 32         # Gauss-Legendre points per r-side panel
 _NODE_BLOCK = 4096    # r-side nodes evaluated together
-_TAIL_PANELS, _TAIL_ORDER = 80, 24  # series-tail quadrature
 
 
 @functools.cache
@@ -98,10 +97,10 @@ def _r_panels(logr: np.ndarray, m: int) -> int:
 
 
 def _tail_rule():
-    """Nodes and weights in u = ln(x / J) on [0, 40]: _TAIL_PANELS panels of
-    _TAIL_ORDER-point Gauss-Legendre.  At x = J e^40 ~ 4e21 every |q| < 1 (so
+    """Nodes and weights in u = ln(x / J) on [0, 40]: 80 panels of 24-point
+    Gauss-Legendre.  At x = J e^40 ~ 4e21 every |q| < 1 (so
     |q| <= 1 - 2^-53) has |q|^(2x) = 0 in double precision."""
-    return _panels(40.0 / _TAIL_PANELS, 0, _TAIL_PANELS, _TAIL_ORDER)
+    return _panels(0.5, 0, 80, 24)
 
 
 def _series_term(x: np.ndarray, logq: np.ndarray, wq: np.ndarray,
@@ -215,7 +214,7 @@ def estimate_nodes(rows: np.ndarray, m: int) -> int:
     r = rows[:, 2]
     r = r[r > 0.0]
     panels = _r_panels(np.log([r.min(), r.max()]), m) if r.size else 0
-    return SERIES_HEAD + _TAIL_PANELS * _TAIL_ORDER + _R_ORDER * panels
+    return SERIES_HEAD + 80 * 24 + _R_ORDER * panels  # head, _tail_rule, r side
 
 
 def s_rb_estimate(n: int, m: int, family, p: float,

@@ -181,26 +181,22 @@ def block_entries(n: int, stabilizer_type: str, ch: PauliChannel):
     C(n,k) a, halved at k = n/2; a Z-type block swaps X and Z on both sides.
     """
     h = block_table(n, stabilizer_type, ch).h
-    b, k, comb = _entry_cells(n, stabilizer_type)
-    joint = h[b, k] * comb
+    half = n // 2 + 1
+    near, far = h[:, :half], h[:, ::-1][:, :half]  # cells k and n-k, rows b
+    joint = np.vstack([near, far[::-1]]).T * _fold_comb(n)
+    if stabilizer_type == "Z":
+        joint = joint[:, [0, 3, 2, 1]]
     weights = joint.sum(axis=1)
     live = weights > 0.0
-    if not live.all():
-        weights, joint = weights[live], joint[live]
-    return weights, joint / weights[:, None]
-
-
-# per letter I, X, Y, Z: its b, and whether its support is n-k, not k
-_LETTER_CELLS = {"X": ([0, 1, 1, 0], [0, 0, 1, 1]), "Z": ([0, 0, 1, 1], [0, 1, 1, 0])}
+    return weights[live], joint[live] / weights[live, None]
 
 
 @lru_cache(maxsize=64)
-def _entry_cells(n: int, stabilizer_type: str):
-    """Cells (b, k) of each entry's letters, and its weight per unit a."""
-    b, far = _LETTER_CELLS[stabilizer_type]
-    k = np.arange(n // 2 + 1)[:, None]
-    comb = [math.comb(n, j) * (0.5 if 2 * j == n else 1.0) for j in range(n // 2 + 1)]
-    return np.array(b), np.where(np.array(far, dtype=bool), n - k, k), np.array(comb)[:, None]
+def _fold_comb(n: int) -> np.ndarray:
+    """Entry weight per unit a: C(n, k) for k = 0 .. n//2 as a column,
+    halved at k = n/2, whose a counts its one cell twice."""
+    comb = [math.comb(n, k) * (0.5 if 2 * k == n else 1.0) for k in range(n // 2 + 1)]
+    return np.array(comb)[:, None]
 
 
 # (I, X, Y, Z) -> (A + B, A - B, A' + B') for f = 0, then f = 1, of a Z-type

@@ -317,20 +317,17 @@ def _layer_effective_set(layer: StabilizerCode, entries: EffectiveChannelSet,
 
 
 @functools.lru_cache(maxsize=64)
-def _rep_frame(code: StabilizerCode) -> list[int] | slice:
-    """Columns taking closed-form entries to the frame of the code's own
-    logicals, whose class is the parity of their stabilizer-type letters
-    plus 2 for the other letter on every site."""
-    typ = rep_type_of(code)
-
+def _rep_frame(code: StabilizerCode, typ: str) -> list[int]:
+    """Columns taking the closed-form entries of a repetition code of type
+    ``typ`` to the frame of its own logicals, whose class is the parity of
+    their stabilizer-type letters plus 2 for the other letter on any site."""
     def cls(p: PauliString) -> int:
         same, other = (p.x_bits, p.z_bits) if typ == "X" else (p.z_bits, p.x_bits)
         return bin(same).count("1") % 2 + 2 * (other != 0)
 
     letter = [0, 1, 3, 2] if typ == "X" else [0, 3, 1, 2]  # class -> I X Y Z
     cx, cz = cls(code.logical_x[0]), cls(code.logical_z[0])
-    frame = [0, letter[cx], letter[cx ^ cz], letter[cz]]
-    return slice(None) if frame == [0, 1, 2, 3] else frame
+    return [0, letter[cx], letter[cx ^ cz], letter[cz]]
 
 
 def top_entries(stack: CodeStack, ch: PauliChannel, group_tol: float = _GROUP_TOL,
@@ -349,7 +346,7 @@ def top_entries(stack: CodeStack, ch: PauliChannel, group_tol: float = _GROUP_TO
         entries = EffectiveChannelSet(np.ones(1), ch.as_array()[None, :])
     else:
         weights, channels = block_entries(layers[0].n, typ, ch)
-        entries = EffectiveChannelSet(weights, channels[:, _rep_frame(layers[0])])
+        entries = EffectiveChannelSet(weights, channels[:, _rep_frame(layers[0], typ)])
         if len(layers) > 1 or rep_type_of(stack.layers[-1]) is None:
             entries = _merge_entries(entries.weights, entries.channels, group_tol, canonicalize)
         layers = layers[1:]

@@ -145,15 +145,17 @@ def test_criterion4_mc_threshold():
 
 
 def test_criterion4_exact_threshold():
-    # the c4 stack exactly, by the atom table of its repetition top, within
-    # the Monte Carlo band above of the published digit, and Monte Carlo
-    # within 4 sigma of it near the threshold
+    # the c4 stack exactly, by the atom table of its repetition top: its
+    # root pinned, within the Monte Carlo band above of the published
+    # digit (the root is 7.0e-7 from it), and Monte Carlo within 4 sigma
+    # of it near the threshold
     stack = parse_stack_spec("repX(5) x 5qubit x repZ(5)")
     res = threshold(stack, DEPOL, bracket=(0.0635, 0.0636))
     band = 3.0 * 5e-7
     diff = res.p_star - 0.063552
     print(f"[acceptance] {'PASS' if abs(diff) <= band else 'FAIL'} c4 exact "
           f"threshold: got {res.p_star:.10f} expected 0.063552 diff {diff:+.2e}")
+    assert abs(res.p_star - 0.06355269964) <= 1e-9
     assert abs(diff) <= band
     for p in (0.063, 0.063552, 0.064):
         ch = family_eval(DEPOL, p)
