@@ -17,6 +17,10 @@ Evaluation dispatch, in order, all in ``evaluate_s_rb``:
     estimator (method "longrep"), whichever costs less; both are exact
   * anything else                 -> effective-channel composition
     (method "grouped"; "exact" for a single layer)
+
+``evaluate_s_rb_batch`` takes an (A, 4) array of channels: one engine call
+for a single Walsh or multiset-sum repetition layer, ``evaluate_s_rb`` per
+row for every other stack.
 """
 
 from __future__ import annotations
@@ -24,10 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channels import (ChannelFamily, PauliChannel, bracketed_root, channel_entropy,
-                       entropy_peak, family_eval, hashing_point)
+                       entropy_bits, entropy_peak, family_eval, hashing_point)
 from .codes import rep_type_of
-from .exact import s_rb_code
+from .exact import _batched_cells, batched_s_rb, s_rb_code
 from .longrep import SERIES_HEAD, estimate_nodes, s_rb_estimate_atoms
 from .rep import multiset_count, s_rb_atoms, top_atoms
 from .stacks import CodeStack, MonteCarlo, s_rb_stack_exact, s_rb_stack_mc, top_entries
@@ -55,13 +61,18 @@ class Evaluation:
     stable: bool = True  # always True; dropped with the benchmark's check of it
 
 
+def _atom_costs(m: int, atoms: int) -> tuple[float, float]:
+    """Modelled cost in ns of the multiset sum over ``atoms`` atoms of a
+    repetition top of length m, and of one estimator node."""
+    return (multiset_count(m, atoms) * _SUM_NS[0] * (_SUM_NS[1] + atoms),
+            _NODE_NS[0] * (_NODE_NS[1] + atoms))
+
+
 def _evaluate_atoms(rows, m: int) -> Evaluation:
     """S_RB of a repetition top of length m over its atom table, by the
     multiset sum ("grouped") or the long-rep estimator ("longrep"),
     whichever costs less (``_SUM_NS``, ``_NODE_NS``)."""
-    atoms = rows.shape[0]
-    sum_ns = multiset_count(m, atoms) * _SUM_NS[0] * (_SUM_NS[1] + atoms)
-    node_ns = _NODE_NS[0] * (_NODE_NS[1] + atoms)
+    sum_ns, node_ns = _atom_costs(m, rows.shape[0])
     # the estimator takes SERIES_HEAD nodes at least: a sum cheaper than
     # that skips estimate_nodes, ~10 us against a 3x3 evaluation's ~60 us
     if sum_ns <= SERIES_HEAD * node_ns or sum_ns <= estimate_nodes(rows, m) * node_ns:
@@ -85,6 +96,32 @@ def evaluate_s_rb(stack: CodeStack, ch: PauliChannel) -> Evaluation:
     if len(stack.layers) == 1:
         return Evaluation(s_rb_code(stack.layers[0], ch), "exact")
     return Evaluation(s_rb_stack_exact(stack, ch), "grouped")
+
+
+def evaluate_s_rb_batch(stack: CodeStack, chans: np.ndarray) -> np.ndarray:
+    """S_RB of a stack under each channel row of ``chans`` (A, 4), as (A,).
+
+    The empty stack gives the rows' entropies.  A single Walsh layer goes
+    through the Walsh engine, and a single repetition layer on the
+    multiset-sum side of ``_evaluate_atoms`` through the atom engine, once
+    for all rows.  Every other stack runs ``evaluate_s_rb`` row by row.
+    """
+    if not stack.layers:
+        return np.array([entropy_bits(row) for row in chans.tolist()])
+    if len(stack.layers) == 1 and not isinstance(stack.strategy, MonteCarlo):
+        top = stack.layers[0]
+        top_type = rep_type_of(top)
+        if top_type is None:
+            sites = np.broadcast_to(chans[:, None, :], (chans.shape[0], top.n, 4))
+            return batched_s_rb(_batched_cells(top, sites))
+        # a row has at most two atoms, and the sum's cost grows faster with
+        # atoms than a node's: chosen at two, it is chosen for every row
+        sum_ns, node_ns = _atom_costs(top.n, 2)
+        if sum_ns <= SERIES_HEAD * node_ns:
+            weights = np.ones((chans.shape[0], 1))
+            return s_rb_atoms(top_atoms(weights, chans[:, None, :], top_type), top.n)
+    return np.array([evaluate_s_rb(stack, PauliChannel(*row)).s_rb
+                     for row in chans.tolist()])
 
 
 def rate(stack: CodeStack, family: ChannelFamily, p: float) -> float:

@@ -59,17 +59,25 @@ class StabilizerCode:
 
 
 def _symplectic_basis(paulis) -> list[int]:
-    """A GF(2) basis of the (x|z) row space (rows (x << n) | z), via bitmask
-    elimination."""
-    pivots = []
+    """A GF(2) basis of the (x|z) row space (rows (x << n) | z), in
+    descending order.
+
+    Each row is reduced by every pivot whose leading bit it holds, highest
+    first; pivots are keyed on their highest set bit, so a row visits only
+    its own set bits.
+    """
+    pivots = {}
     for p in paulis:
         row = (p.x_bits << p.n) | p.z_bits
-        for pivot in pivots:
-            row = min(row, row ^ pivot)
+        rest = row
+        while rest:
+            top = rest.bit_length() - 1
+            if top in pivots:
+                row ^= pivots[top]
+            rest = row & ((1 << top) - 1)
         if row:
-            pivots.append(row)
-            pivots.sort(reverse=True)
-    return pivots
+            pivots[row.bit_length() - 1] = row
+    return sorted(pivots.values(), reverse=True)
 
 
 def _symplectic_rank(paulis) -> int:
@@ -87,7 +95,12 @@ def validate_code(code: StabilizerCode) -> None:
         raise CodeValidationError(
             f"{code.name}: expected {code.k} logical X and Z operators")
     gens = code.generators
-    for i in range(len(gens)):
+    x_support = z_support = 0
+    for g in gens:
+        x_support |= g.x_bits
+        z_support |= g.z_bits
+    # generators anticommute only where one's X meets another's Z
+    for i in range(len(gens) if x_support & z_support else 0):
         for j in range(i + 1, len(gens)):
             if anticommutes(gens[i], gens[j]):
                 raise CodeValidationError(

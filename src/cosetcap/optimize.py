@@ -5,21 +5,25 @@ point, i.e. the demonstrated non-additivity.
 The search runs a hand-rolled Nelder-Mead simplex on a two-parameter
 softmax chart of the coefficient simplex, multi-started from three
 near-vertex points plus a fixed quasi-random lattice, with the 0.0001
-coefficient floor enforced by projection.  Each objective evaluation
-solves the inner hashing-point root on the family's whole rising branch
-and evaluates the stack rate there.  No global-optimality claim
-is made: the result is the best point found.
+coefficient floor enforced by projection.  The restarts run in lockstep:
+each is a generator that yields its next point, and every step maps the
+pending points of all active restarts to coefficients, solves their
+hashing points on each family's rising branch and evaluates the stack
+rate there in one batched call (``capacity.evaluate_s_rb_batch``).  Each
+restart follows the trajectory it would follow alone.  No
+global-optimality claim is made: the result is the best point found.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import custom_family, hashing_point
-from .capacity import rate
+from .capacity import evaluate_s_rb_batch, rate
 from .stacks import CodeStack
 
 COEFF_FLOOR = 0.0001
@@ -34,29 +38,47 @@ _LATTICE_G = (0.7548776662466927, 0.5698402909980532)
 
 def project_floor(c) -> tuple[float, float, float]:
     """Project a nonnegative triple onto the floored probability simplex."""
-    c = np.maximum(np.asarray(c, dtype=float), 0.0)
-    if c.sum() <= 0.0:
-        c = np.ones(3)
-    c = c / c.sum()
+    return tuple(_project_rows(np.asarray(c, dtype=float)[None, :])[0].tolist())
+
+
+def _project_rows(c: np.ndarray) -> np.ndarray:
+    """``project_floor`` of every row of an (A, 3) array."""
+    c = np.maximum(c, 0.0)
+    c[c.sum(axis=1) <= 0.0] = 1.0
+    c = c / c.sum(axis=1, keepdims=True)
     for _ in range(4):
         lo = c < COEFF_FLOOR
-        if not lo.any():
+        rows = lo.any(axis=1)
+        if not rows.any():
             break
         free = ~lo
-        c[lo] = COEFF_FLOOR
-        c[free] *= (1.0 - COEFF_FLOOR * lo.sum()) / c[free].sum()
-    return float(c[0]), float(c[1]), float(c[2])
+        scale = (1.0 - COEFF_FLOOR * lo.sum(axis=1)) / np.where(free, c, 0.0).sum(axis=1)
+        c = np.where(lo, COEFF_FLOOR, np.where(free & rows[:, None], c * scale[:, None], c))
+    return c
 
 
-def _theta_to_c(theta: np.ndarray) -> tuple[float, float, float]:
-    z = np.array([theta[0], theta[1], 0.0])
-    z -= z.max()
+def _theta_to_c(theta: np.ndarray) -> list[tuple[float, float, float]]:
+    """Floored coefficient triples of the softmax chart points (A, 2)."""
+    z = np.column_stack([theta, np.zeros(theta.shape[0])])
+    z -= z.max(axis=1, keepdims=True)
     e = np.exp(z)
-    return project_floor(e / e.sum())
+    return [tuple(c) for c in _project_rows(e / e.sum(axis=1, keepdims=True)).tolist()]
 
 
 def _c_to_theta(c) -> np.ndarray:
     return np.array([math.log(c[0] / c[2]), math.log(c[1] / c[2])])
+
+
+@dataclass(frozen=True, slots=True)
+class RestartResult:
+    """One restart: its start, the best triple it found, and the
+    non-additivity, hashing point and evaluations behind it."""
+    restart: int
+    start: tuple[float, float, float]
+    c: tuple[float, float, float]
+    q: float
+    p_hash: float
+    evals: int
 
 
 @dataclass(frozen=True)
@@ -68,7 +90,8 @@ class OptimizationResult:
     restarts: int
     seed: int
     evaluations: int
-    trace: tuple[dict, ...]
+    steps: int  # lockstep batches: evaluations of the longest restart
+    trace: tuple[RestartResult, ...]
 
     def to_dict(self) -> dict:
         return {
@@ -81,6 +104,7 @@ class OptimizationResult:
             "restarts": self.restarts,
             "seed": self.seed,
             "evaluations": self.evaluations,
+            "steps": self.steps,
         }
 
 
@@ -110,73 +134,103 @@ def _starts(restarts: int, seed: int) -> list[tuple[float, float, float]]:
     return points[:restarts]
 
 
-def _nelder_mead(objective, theta0: np.ndarray):
-    """Minimize over R^2; convergence measured in coefficient space."""
+def _objective(stack: CodeStack, theta: np.ndarray):
+    """Minus the non-additivity at the hashing point of each chart point
+    (A, 2), as (A,), and the coefficient triples it was taken at: the
+    batched ``nonadditivity_at_hashing``."""
+    cs = _theta_to_c(theta)
+    families = [custom_family(*c, renormalize=True) for c in cs]
+    p = np.array([hashing_point(f) for f in families])[:, None]
+    chans = np.hstack([1.0 - p, np.array([f.coefficients for f in families]) * p])
+    s_rb = evaluate_s_rb_batch(stack, chans)
+    return (s_rb - stack.k_outer) / stack.total_length, cs
+
+
+def _nelder_mead(theta0: np.ndarray):
+    """Minimize over R^2; convergence measured in coefficient space.
+
+    A generator: it yields each point to evaluate and is sent back that
+    point's (value, coefficient triple).  Every vertex keeps its triple.
+    Returns (value, triple, evaluations) of the best vertex.
+    """
     pts = [theta0, theta0 + np.array([0.5, 0.0]), theta0 + np.array([0.0, 0.5])]
-    evals = [objective(t) for t in pts]
+    evals, cs = [], []
+    for t in pts:
+        f, c = yield t
+        evals.append(f)
+        cs.append(c)
     n_evals = 3
     while n_evals < MAX_EVALS:
         order = np.argsort(evals)
         pts = [pts[i] for i in order]
         evals = [evals[i] for i in order]
-        cs = [np.array(_theta_to_c(t)) for t in pts]
-        diameter = max(np.abs(a - b).max() for a in cs for b in cs)
+        cs = [cs[i] for i in order]
+        diameter = max(abs(x - y) for a, b in itertools.combinations(cs, 2)
+                       for x, y in zip(a, b))
         if diameter < SIMPLEX_DIAMETER_TOL:
             break
         centroid = 0.5 * (pts[0] + pts[1])
         reflect = centroid + (centroid - pts[2])
-        f_r = objective(reflect)
+        f_r, c_r = yield reflect
         n_evals += 1
         if f_r < evals[0]:
             expand = centroid + 2.0 * (centroid - pts[2])
-            f_e = objective(expand)
+            f_e, c_e = yield expand
             n_evals += 1
             if f_e < f_r:
-                pts[2], evals[2] = expand, f_e
+                pts[2], evals[2], cs[2] = expand, f_e, c_e
             else:
-                pts[2], evals[2] = reflect, f_r
+                pts[2], evals[2], cs[2] = reflect, f_r, c_r
         elif f_r < evals[1]:
-            pts[2], evals[2] = reflect, f_r
+            pts[2], evals[2], cs[2] = reflect, f_r, c_r
         else:
             contract = centroid + 0.5 * (pts[2] - centroid)
-            f_c = objective(contract)
+            f_c, c_c = yield contract
             n_evals += 1
             if f_c < evals[2]:
-                pts[2], evals[2] = contract, f_c
+                pts[2], evals[2], cs[2] = contract, f_c, c_c
             else:
                 for i in (1, 2):
                     pts[i] = pts[0] + 0.5 * (pts[i] - pts[0])
-                    evals[i] = objective(pts[i])
+                    evals[i], cs[i] = yield pts[i]
                     n_evals += 1
     best = int(np.argmin(evals))
-    return pts[best], evals[best], n_evals
+    return evals[best], cs[best], n_evals
 
 
 def optimize_channel(stack: CodeStack, restarts: int = DEFAULT_RESTARTS,
                      seed: int = 0) -> OptimizationResult:
-    """Best coefficient triple found over all restarts.
+    """Best coefficient triple found over all restarts, run in lockstep.
 
-    Ties on the achieved rate break to the lexicographically smallest
-    coefficient triple, making the reduction deterministic.
+    Each step evaluates the pending point of every active restart in one
+    batch (``_objective``).  Ties on the achieved rate break to the
+    lexicographically smallest coefficient triple, making the reduction
+    deterministic.
     """
-    def objective(theta: np.ndarray) -> float:
-        c = _theta_to_c(theta)
-        _, q = nonadditivity_at_hashing(stack, c)
-        return -q
-
+    starts = _starts(restarts, seed)
+    runs = [_nelder_mead(_c_to_theta(start)) for start in starts]
+    pending = {idx: next(run) for idx, run in enumerate(runs)}
+    done = {}
+    steps = 0
+    while pending:
+        values, cs = _objective(stack, np.array(list(pending.values())))
+        steps += 1
+        for idx, f, c in zip(list(pending), values.tolist(), cs):
+            try:
+                pending[idx] = runs[idx].send((f, c))
+            except StopIteration as stop:
+                del pending[idx]
+                done[idx] = stop.value
     trace = []
     best = None
-    total_evals = 0
-    for idx, start in enumerate(_starts(restarts, seed)):
-        theta, f, used = _nelder_mead(objective, _c_to_theta(start))
-        total_evals += used
-        c = _theta_to_c(theta)
-        p_hash, q = nonadditivity_at_hashing(stack, c)
-        trace.append({"restart": idx, "start": start, "c": c, "q": q,
-                      "p_hash": p_hash, "evals": used})
+    for idx, start in enumerate(starts):
+        f, c, used = done[idx]
+        q = -f
+        p_hash = hashing_point(custom_family(*c, renormalize=True))
+        trace.append(RestartResult(idx, start, c, q, p_hash, used))
         key = (-q, c)
         if best is None or key < best[0]:
             best = (key, c, p_hash, q)
     _, c, p_hash, q = best
     return OptimizationResult(stack.spec(), c, p_hash, q, restarts, seed,
-                              total_evals, tuple(trace))
+                              sum(t.evals for t in trace), steps, tuple(trace))

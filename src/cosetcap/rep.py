@@ -210,13 +210,24 @@ def top_atoms(weights: np.ndarray, channels: np.ndarray, top_type: str) -> np.nd
     """Atom table of a repetition top of stabilizer type ``top_type`` over
     weighted inner entries (channels in (I, X, Y, Z) order): per entry e and
     kept (f = 0) or flipped (f = 1) bit, the row w_e (A + B), |q| = |A - B|
-    / (A + B), r = (A' + B') / (A + B) (``_TOP_MIX``), rows of zero weight
-    left out.  Both S_RB engines read only these rows.
+    / (A + B), r = (A' + B') / (A + B) (``_TOP_MIX``).  Both S_RB engines
+    read only these rows.
+
+    ``weights`` (E,) and ``channels`` (E, 4) give a (atoms, 3) table with
+    the rows of zero weight left out; a leading batch axis, (B, E) and
+    (B, E, 4), gives (B, 2E, 3) with those rows kept as zeros.
     """
-    rows = ((weights[:, None] * channels) @ _TOP_MIX[top_type]).reshape(-1, 3)
-    rows = rows[rows[:, 0] > 0.0]
-    np.abs(rows[:, 1], out=rows[:, 1])
-    rows[:, 1:] /= rows[:, :1]
+    rows = ((weights[..., None] * channels) @ _TOP_MIX[top_type])
+    rows = rows.reshape(*rows.shape[:-2], -1, 3)
+    dead = rows[..., 0] <= 0.0
+    if rows.ndim == 2:
+        rows = rows[~dead]
+    else:
+        rows[dead] = (1.0, 0.0, 0.0)  # divides cleanly; the weight is zeroed below
+    np.abs(rows[..., 1], out=rows[..., 1])
+    rows[..., 1:] /= rows[..., :1]
+    if rows.ndim > 2:
+        rows[dead, 0] = 0.0
     return rows
 
 
@@ -233,26 +244,28 @@ def s_rb_rep(n: int, m: int, ch: PauliChannel, inner_type: str = "X") -> float:
     return s_rb_atoms(top_atoms(weights, channels, "Z" if inner_type == "X" else "X"), m)
 
 
-def s_rb_atoms(rows: np.ndarray, m: int) -> float:
+def s_rb_atoms(rows: np.ndarray, m: int):
     """Exact S_RB (bits) of a repetition top of length m over its atom table
     (``top_atoms``) by a sum over multisets of atoms; StackBudgetError
-    where they exceed ASSIGNMENT_BUDGET."""
-    counts, log_mult = multisets(m, rows.shape[0])
+    where they exceed ASSIGNMENT_BUDGET.  A batch of tables (B, atoms, 3)
+    gives a (B,) array; zero rows there are atoms of zero weight."""
+    counts, log_mult = multisets(m, rows.shape[-2])
     # log weight, log |q| and log r summed over the blocks, with 0 stored
-    # where |q| or r vanish and those atoms masked
+    # where a weight, |q| or r vanishes; a multiset holding such an atom
+    # gets a log sum of -inf in that column
     zero = rows == 0.0
     log_sums = counts @ np.log(np.where(zero, 1.0, rows))
-    w = np.exp(log_mult + log_sums[:, 0])
-    q_hat = np.exp(log_sums[:, 1])
-    if zero[:, 1].any():
-        q_hat[counts[:, zero[:, 1]].sum(axis=1) > 0] = 0.0
-    r_hat_log = log_sums[:, 2]
-    if zero[:, 2].any():
-        r_hat_log[counts[:, zero[:, 2]].sum(axis=1) > 0] = -np.inf
+    if zero.any():
+        log_sums[counts @ zero > 0.0] = -np.inf
+    w = np.exp(log_mult + log_sums[..., 0])
+    q_hat = np.exp(log_sums[..., 1])
+    r_hat_log = log_sums[..., 2]
     # phi_q = E[-ln(1 + prod q) | counts]: the magnitude Q is fixed by the
     # counts and the sign is + with probability (1+Q)/2; (1 - Q) ln(1 - Q)
     # is 0 at Q = 1
     plus, minus = 1.0 + q_hat, 1.0 - q_hat
     phi_q = -0.5 * (plus * np.log(plus) + minus * np.log(np.maximum(minus, _TINY)))
     phi_r = -np.logaddexp(0.0, r_hat_log)
-    return 1.0 + float(w @ (phi_q - phi_r)) / math.log(2.0)
+    if rows.ndim == 2:
+        return 1.0 + float(w @ (phi_q - phi_r)) / math.log(2.0)
+    return 1.0 + np.einsum("...i,...i->...", w, phi_q - phi_r) / math.log(2.0)

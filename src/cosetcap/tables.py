@@ -21,6 +21,8 @@ line of such a cell names the published digit and its offset.
 
 from __future__ import annotations
 
+import copy
+import functools
 import importlib.resources
 import json
 import time
@@ -34,7 +36,7 @@ from .stacks import parse_stack_spec
 TABLE_NAMES = ("table1", "table2", "table6", "table7", "table9", "table10", "table11")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellResult:
     cell_id: str
     quantity: str
@@ -54,6 +56,13 @@ class CellResult:
 
 
 def load_manifest(name: str) -> dict:
+    """The parsed manifest ``name``, a copy the caller may change."""
+    return copy.deepcopy(_manifest(name))
+
+
+@functools.lru_cache(maxsize=None)
+def _manifest(name: str) -> dict:
+    """The parsed manifest, read once and shared: read-only."""
     if name not in TABLE_NAMES:
         raise KeyError(f"unknown table manifest {name!r}; have {TABLE_NAMES}")
     res = importlib.resources.files("cosetcap.data.tables").joinpath(f"{name}.json")
@@ -61,7 +70,7 @@ def load_manifest(name: str) -> dict:
 
 
 def run_manifest(name: str, tol: float | None = None) -> list[CellResult]:
-    manifest = load_manifest(name)
+    manifest = _manifest(name)
     default_tol = manifest.get("default_tol", 1e-8)
     results = []
     for cell in manifest["cells"]:

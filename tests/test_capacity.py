@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import cosetcap.capacity as capacity
-from cosetcap import (ChannelFamily, CodeStack, MonteCarlo, channel_entropy,
+from cosetcap import (ChannelFamily, CodeStack, MonteCarlo, PauliChannel, channel_entropy,
                       family_eval, hashing_point, parse_stack_spec, rate,
                       registry_get, registry_names, s_rb_rep, sweep, threshold)
-from cosetcap.capacity import NoThresholdError, evaluate_s_rb, nonadditivity
+from cosetcap.capacity import (NoThresholdError, evaluate_s_rb, evaluate_s_rb_batch,
+                               nonadditivity)
 from cosetcap.codes import rep_type_of
 
 DEPOL = ChannelFamily("depolarizing")
@@ -162,3 +163,19 @@ def test_evaluate_dispatch_reports_methods():
     assert evaluate_s_rb(parse_stack_spec("steane"), ch).method == "exact"
     assert evaluate_s_rb(parse_stack_spec("repZ(4)"), ch).method == "grouped"
     assert evaluate_s_rb(parse_stack_spec("repZ(5) x 5qubit"), ch).method == "grouped"
+
+
+@pytest.mark.parametrize("spec", ["", "5qubit", "steane", "repZ(4)", "repX(7)",
+                                  "repZ(3) x repX(3)"])
+def test_batch_matches_per_row_evaluation(spec):
+    """Empty stack, single Walsh layer, single repetition layer (atom
+    engine) and a looped stack, each with zero-probability letters."""
+    stack = parse_stack_spec(spec)
+    chans = np.random.default_rng(11).dirichlet([4.0, 1.0, 1.0, 1.0], size=20)
+    chans[0] = [0.9, 0.1, 0.0, 0.0]
+    chans[1] = [0.7, 0.0, 0.0, 0.3]
+    chans[2] = [1.0, 0.0, 0.0, 0.0]
+    got = evaluate_s_rb_batch(stack, chans)
+    want = [evaluate_s_rb(stack, PauliChannel(*row)).s_rb for row in chans]
+    assert got.shape == (20,)
+    assert np.max(np.abs(got - want)) <= 1e-14

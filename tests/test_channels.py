@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracle
+
 from cosetcap import (ChannelFamily, PauliChannel, channel_entropy,
                       custom_family, family_eval, hashing_point,
                       parse_channel_spec)
@@ -196,3 +198,30 @@ def test_custom_entropy_peak_vs_grid(weights):
     assert abs(peak - ps[np.argmax(ent)]) <= step
     assert channel_entropy(family_eval(fam, peak)) > 1.0
     assert hashing_point(fam) < peak
+
+
+def _custom_triples(count=50, seed=5):
+    rng = np.random.default_rng(seed)
+    triples = [(0.9998, 1e-4, 1e-4)]
+    for w in rng.dirichlet([0.5, 0.5, 0.5], size=count - 1):
+        triples.append(tuple(0.0001 + (1.0 - 0.0003) * w))
+    return [custom_family(*c, renormalize=True) for c in triples]
+
+
+_ORACLE_FAMILIES = {"depolarizing": (oracle.depolarizing, 0.25),
+                    "independent_xz": (oracle.independent_xz, 0.5),
+                    "two_pauli": (lambda p: (1 - 2 * p, p, 0, p), 1.0 / 3.0)}
+
+
+@pytest.mark.parametrize("family", [DEPOL, INDXZ, TWOP, *_custom_triples()],
+                         ids=lambda f: f.spec())
+def test_hashing_point_matches_mpmath_root(family):
+    if family.kind == "custom":
+        channel, p_max = oracle.custom(family.coefficients), 1.0
+    else:
+        channel, p_max = _ORACLE_FAMILIES[family.kind]
+    root = hashing_point(family)
+    assert abs(root - float(oracle.hashing_point(channel, p_max))) <= 1e-14
+    # the entropy crosses 1 bit within 5e-13 of the root
+    assert channel_entropy(family_eval(family, root - 5e-13)) < 1.0
+    assert channel_entropy(family_eval(family, root + 5e-13)) > 1.0

@@ -117,6 +117,7 @@ def test_optimize_json(capsys):
     payload = json.loads(out[: out.rindex("}") + 1])
     assert payload["stack"] == "repZ(3)"
     assert payload["restarts"] == 2
+    assert 0 < payload["steps"] <= payload["evaluations"]
 
 
 def test_tables_runner_table10(capsys):

@@ -7,8 +7,8 @@ import pytest
 from cosetcap import (PauliString, anticommutes, classify,
                       make_repetition_code, parse_code, pauli_mul, registry_get,
                       registry_names, serialize_code, trivial_code)
-from cosetcap.codes import (CodeValidationError, _symplectic_rank, rep_type_of,
-                            site_automorphisms)
+from cosetcap.codes import (CodeValidationError, _symplectic_basis, _symplectic_rank,
+                            rep_type_of, site_automorphisms)
 
 P = PauliString.from_text
 
@@ -151,6 +151,30 @@ def test_trivial_code():
     code = trivial_code()
     assert (code.n, code.k) == (1, 1)
     assert code.generators == ()
+
+
+def test_parse_rejects_anticommuting_generators():
+    with pytest.raises(CodeValidationError, match="generators 0 and 1 anticommute"):
+        parse_code("name x\nnk 2 0\nG XI\nG ZI\n")
+    # pure X and pure Z generators may still anticommute
+    with pytest.raises(CodeValidationError, match="generators 0 and 1 anticommute"):
+        parse_code("name x\nnk 3 1\nG XXI\nG ZII\nLX XXX\nLZ ZZZ\n")
+
+
+def test_symplectic_basis_is_echelon_and_spans_its_rows():
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        ps = [PauliString(n, rng.getrandbits(n), rng.getrandbits(n))
+              for _ in range(rng.randint(0, 2 * n))]
+        basis = _symplectic_basis(ps)
+        tops = [row.bit_length() - 1 for row in basis]
+        assert tops == sorted(set(tops), reverse=True)
+        for p in ps:
+            row = (p.x_bits << n) | p.z_bits
+            for pivot in basis:
+                row = min(row, row ^ pivot)
+            assert row == 0
 
 
 def test_make_repetition_validates():

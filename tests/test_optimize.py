@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from cosetcap import (nonadditivity_at_hashing, optimize_channel,
                       parse_stack_spec)
-from cosetcap.optimize import project_floor, _starts
+from cosetcap.optimize import (_c_to_theta, _nelder_mead, _starts, _theta_to_c,
+                               project_floor)
 
 
 def test_project_floor():
@@ -62,3 +64,41 @@ def test_optimizer_beats_published_rep3():
     res = optimize_channel(parse_stack_spec("repZ(3)"), restarts=8, seed=0)
     assert res.non_additivity >= 0.01274328527 - 1e-4
     assert res.p_hash > 0.2
+
+
+def _sequential(stack, start):
+    """One restart driven alone, one scalar evaluation per point."""
+    run = _nelder_mead(_c_to_theta(start))
+    theta = next(run)
+    while True:
+        c = _theta_to_c(theta[None, :])[0]
+        _, q = nonadditivity_at_hashing(stack, c)
+        try:
+            theta = run.send((-q, c))
+        except StopIteration as stop:
+            return stop.value
+
+
+@pytest.mark.parametrize("spec,restarts", [("repZ(3)", 4), ("5qubit", 4),
+                                           ("repZ(3) x repX(3)", 3)])
+def test_lockstep_restarts_match_sequential_runs(spec, restarts):
+    stack = parse_stack_spec(spec)
+    res = optimize_channel(stack, restarts=restarts, seed=0)
+    assert len(res.trace) == restarts
+    for entry in res.trace:
+        f, c, evals = _sequential(stack, entry.start)
+        assert entry.evals == evals
+        assert np.max(np.abs(np.subtract(entry.c, c))) <= 1e-12
+        assert entry.q == pytest.approx(-f, abs=1e-12)
+    assert res.evaluations == sum(entry.evals for entry in res.trace)
+    # one batch per step: as many steps as the longest restart has points
+    assert res.steps == max(entry.evals for entry in res.trace)
+
+
+def test_theta_to_c_rows_match_project_floor():
+    rng = np.random.default_rng(3)
+    theta = rng.normal(scale=8.0, size=(40, 2))
+    for t, c in zip(theta, _theta_to_c(theta)):
+        z = np.array([t[0], t[1], 0.0])
+        e = np.exp(z - z.max())
+        assert c == project_floor(e / e.sum())
