@@ -21,7 +21,7 @@ import numpy as np
 
 _SUM_TOL = 1e-12
 _COEFF_SUM_TOL = 1e-9
-_COEFF_FLOOR = 0.0001
+COEFF_FLOOR = 0.0001
 # hashing_point: Newton steps at most, and the relative step that ends them
 _NEWTON_MAX_STEPS = 64
 _NEWTON_STEP_TOL = 4 * np.finfo(float).eps
@@ -76,8 +76,8 @@ class ChannelFamily:
                 raise ValueError("custom family needs three coefficients")
             if abs(sum(c) - 1.0) > _COEFF_SUM_TOL:
                 raise ValueError(f"custom coefficients sum to {sum(c)!r}, not 1")
-            if any(ci < _COEFF_FLOOR - 1e-12 or ci > 1.0 for ci in c):
-                raise ValueError(f"custom coefficients outside [{_COEFF_FLOOR}, 1]: {c}")
+            if any(ci < COEFF_FLOOR - 1e-12 or ci > 1.0 for ci in c):
+                raise ValueError(f"custom coefficients outside [{COEFF_FLOOR}, 1]: {c}")
 
     def p_max(self) -> float:
         """Upper end of the usable parameter range."""

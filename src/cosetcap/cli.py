@@ -8,10 +8,10 @@ twopauli, or custom:cX,cY,cZ.  ``longrep --inner n --outer m`` is
 long-rep estimator by cost like every other repetition top.
 
 Exit codes: 0 success, 1 regression mismatches, 2 validation error
-(including a code or stack layer longer than the exact engine's 13
-qubits; innermost repetition layers and repetition tops, which have
-closed forms, have no such limit), 3 numerical failure (no bracket,
-enumeration budget).
+(including a sample count below 1, and a code or stack layer longer than
+the exact engine's 13 qubits; innermost repetition layers and repetition
+tops, which have closed forms, have no such limit, exact or Monte Carlo),
+3 numerical failure (no bracket, enumeration budget).
 """
 
 from __future__ import annotations
@@ -68,10 +68,16 @@ def _parse_range(text: str):
     return float(parts[0]), float(parts[1]), int(parts[2])
 
 
+def _given(args, *names) -> dict:
+    """The named options that were given; the library's defaults stand for
+    the others."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _stack_from_args(args) -> CodeStack:
     stack = parse_stack_spec(args.code)
-    if getattr(args, "samples", None):
-        stack = CodeStack(stack.layers, MonteCarlo(args.samples, args.seed or 0))
+    if args.samples is not None:
+        stack = CodeStack(stack.layers, MonteCarlo(**_given(args, "samples", "seed")))
     return stack
 
 
@@ -101,7 +107,7 @@ def cmd_rate(args) -> int:
 def cmd_threshold(args) -> int:
     stack = _stack_from_args(args)
     family = parse_channel_spec(args.channel)
-    result = threshold(stack, family, tol=args.tol)
+    result = threshold(stack, family, **_given(args, "tol"))
     if args.format == "json":
         print(json.dumps({
             "stack": result.stack_spec, "channel": result.family_spec,
@@ -139,7 +145,7 @@ def cmd_longrep(args) -> int:
 
 def cmd_optimize(args) -> int:
     stack = parse_stack_spec(args.code)
-    result = optimize_channel(stack, restarts=args.restarts, seed=args.seed or 0)
+    result = optimize_channel(stack, **_given(args, "restarts", "seed"))
     print(json.dumps(result.to_dict(), indent=1))
     c = result.coefficients
     print(f"{stack.spec() or 'hashing'} & {c[0]:.8f} & {c[1]:.8f} & {c[2]:.8f} & "
@@ -175,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", nargs="?", help="code name for 'show'")
     p.set_defaults(func=cmd_codes)
 
-    def common(p, with_p=False):
+    def common(p, formats, with_p=False):
         p.add_argument("--code", required=False, default="",
                        help="stack spec, e.g. '5repZ x biased9' (empty = hashing)")
         p.add_argument("--channel", required=True, help="channel spec")
@@ -183,22 +189,22 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--p", type=float, required=True, help="noise parameter")
         p.add_argument("--samples", type=int, help="Monte Carlo samples (switches to MC)")
         p.add_argument("--seed", type=int, help="Monte Carlo seed")
-        p.add_argument("--format", choices=["csv", "json", "table"], default="table")
-        p.add_argument("--out", help="write output to a file")
+        p.add_argument("--format", choices=formats, default=formats[0])
 
     p = sub.add_parser("rate", help="rate (k - S_RB)/l at one noise level")
-    common(p, with_p=True)
+    common(p, ["table", "json"], with_p=True)
     p.set_defaults(func=cmd_rate)
 
     p = sub.add_parser("threshold",
                        help="bracketed root (Chandrupatla) of the zero-rate noise level")
-    common(p)
-    p.add_argument("--tol", type=float, default=1e-10)
+    common(p, ["table", "json"])
+    p.add_argument("--tol", type=float, help="width of the final root bracket")
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("sweep", help="rate curve over a parameter range")
-    common(p)
+    common(p, ["csv", "json"])
     p.add_argument("--range", required=True, help="a:b:steps")
+    p.add_argument("--out", help="write the rows to a file")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("longrep", help="sweep on repX(inner) x repZ(outer)")
@@ -212,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="search for the most non-additive channel")
     p.add_argument("--code", required=True)
-    p.add_argument("--restarts", type=int, default=12)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--restarts", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("tables", help="re-run bundled regression manifests")

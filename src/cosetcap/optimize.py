@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import custom_family, hashing_point
+from .channels import COEFF_FLOOR, custom_family, hashing_point
 from .capacity import evaluate_s_rb_batch, rate
 from .stacks import CodeStack
 
-COEFF_FLOOR = 0.0001
 DEFAULT_RESTARTS = 12
 MAX_EVALS = 400
 SIMPLEX_DIAMETER_TOL = 1e-6

@@ -23,8 +23,9 @@ assignments from their product distribution and evaluates the outermost
 layer exactly per sample.
 
 An innermost repetition layer takes its entries in closed form
-(``rep.block_entries``, ``top_entries``); every other layer goes through
-the Walsh engine of ``exact``.  Each site of a
+(``rep.block_entries``, ``top_entries``), for any length, on the exact and
+Monte Carlo paths alike; every other layer goes through the Walsh engine
+of ``exact``.  Each site of a
 layer takes one of E input channels, so the (n, E, 2^bits) table of their
 spectra is built once per layer from the code's character table; each
 orbit representative multiplies a product of its first sites' rows with
@@ -134,10 +135,10 @@ class EffectiveChannelSet:
 _TRANSLATIONS = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 
 
-def _canonical_translation(channels: np.ndarray, tol: float) -> np.ndarray:
+def _canonical_translation(channels: np.ndarray) -> np.ndarray:
     """Replace each channel by its lexicographically largest translate."""
     cands = np.stack([channels[:, perm] for perm in _TRANSLATIONS], axis=1)
-    keys = np.round(cands / tol) if tol > 0.0 else cands
+    keys = np.round(cands / _GROUP_TOL)
     alive = np.ones(cands.shape[:2], dtype=bool)
     for col in range(4):
         vals = np.where(alive, keys[:, :, col], -np.inf)
@@ -147,16 +148,13 @@ def _canonical_translation(channels: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _merge_entries(weights: np.ndarray, channels: np.ndarray,
-                   tol: float = _GROUP_TOL,
-                   canonicalize: bool = True) -> EffectiveChannelSet:
+                   raw: bool = False) -> EffectiveChannelSet:
     keep = weights > 0.0
     weights, channels = weights[keep], channels[keep]
-    if canonicalize and channels.shape[0]:
-        channels = _canonical_translation(channels, tol)
-    if tol > 0.0:
-        keys = np.round(channels / tol).astype(np.int64)
-    else:
-        keys = channels
+    keys = channels
+    if not raw and channels.shape[0]:
+        channels = _canonical_translation(channels)
+        keys = np.round(channels / _GROUP_TOL).astype(np.int64)
     _, inverse = np.unique(keys, axis=0, return_inverse=True)
     ngroups = int(inverse.max()) + 1 if inverse.size else 0
     w = np.zeros(ngroups)
@@ -304,16 +302,13 @@ def _layer_batches(layer: StabilizerCode, entries: EffectiveChannelSet):
 
 
 def _layer_effective_set(layer: StabilizerCode, entries: EffectiveChannelSet,
-                         tol: float, canonicalize: bool) -> EffectiveChannelSet:
-    if layer.k != 1:
-        raise ValueError("inner layers must have k = 1")
+                         raw: bool) -> EffectiveChannelSet:
     all_w, all_ch = [], []
     for logw, spec in _layer_batches(layer, entries):
         synd, cond = _conditional_channels(_cells(layer, spec))
         all_w.append((np.exp(logw)[:, None] * synd).ravel())
         all_ch.append(cond.reshape(-1, 4))
-    return _merge_entries(np.concatenate(all_w), np.vstack(all_ch), tol=tol,
-                          canonicalize=canonicalize)
+    return _merge_entries(np.concatenate(all_w), np.vstack(all_ch), raw)
 
 
 @functools.lru_cache(maxsize=64)
@@ -330,15 +325,16 @@ def _rep_frame(code: StabilizerCode, typ: str) -> list[int]:
     return [0, letter[cx], letter[cx ^ cz], letter[cz]]
 
 
-def top_entries(stack: CodeStack, ch: PauliChannel, group_tol: float = _GROUP_TOL,
-                canonicalize: bool = True) -> EffectiveChannelSet:
+def top_entries(stack: CodeStack, ch: PauliChannel,
+                raw: bool = False) -> EffectiveChannelSet:
     """Weighted conditional channels that the layers below the top feed to
     each of its sites; the bare channel for a single layer.
 
     An innermost repetition layer gives them in closed form, for any length
     (``rep.block_entries``), merged like Walsh entries unless a repetition
     top reads them as its atom table.  Other layers go through the Walsh
-    engine, grouped by ``group_tol`` and ``canonicalize``.
+    engine.  Entries are grouped as ``effective_channels`` describes, or
+    with ``raw`` only where their channels are identical.
     """
     layers = stack.layers[:-1]
     typ = rep_type_of(layers[0]) if layers else None
@@ -348,28 +344,25 @@ def top_entries(stack: CodeStack, ch: PauliChannel, group_tol: float = _GROUP_TO
         weights, channels = block_entries(layers[0].n, typ, ch)
         entries = EffectiveChannelSet(weights, channels[:, _rep_frame(layers[0], typ)])
         if len(layers) > 1 or rep_type_of(stack.layers[-1]) is None:
-            entries = _merge_entries(entries.weights, entries.channels, group_tol, canonicalize)
+            entries = _merge_entries(entries.weights, entries.channels, raw)
         layers = layers[1:]
     for layer in layers:
-        entries = _layer_effective_set(layer, entries, group_tol, canonicalize)
+        entries = _layer_effective_set(layer, entries, raw)
     return entries
 
 
-def s_rb_stack_exact(stack: CodeStack, ch: PauliChannel,
-                     group_tol: float = _GROUP_TOL,
-                     canonicalize: bool = True) -> float:
+def s_rb_stack_exact(stack: CodeStack, ch: PauliChannel, raw: bool = False) -> float:
     """Exact S_RB (bits) of a stack by effective-channel composition, every
     top layer by the Walsh engine.
 
     The zero-layer stack degenerates to the bare channel entropy, so that
-    rate = k - S_RB reproduces the hashing rate 1 - H.  ``group_tol`` and
-    ``canonicalize`` set how layer entries are grouped (see
-    ``effective_channels``); group_tol=0, canonicalize=False is the raw
-    path, which merges only identical channels.
+    rate = k - S_RB reproduces the hashing rate 1 - H.  Layer entries are
+    grouped as ``effective_channels`` describes; ``raw`` merges only
+    identical channels.
     """
     if not stack.layers:
         return channel_entropy(ch)
-    entries = top_entries(stack, ch, group_tol, canonicalize)
+    entries = top_entries(stack, ch, raw)
     top = stack.layers[-1]
     total = 0.0
     for logw, spec in _layer_batches(top, entries):
@@ -387,8 +380,11 @@ def s_rb_stack_mc(stack: CodeStack, ch: PauliChannel, samples: int = 100_000,
                   seed: int = 0) -> tuple[float, float]:
     """Monte Carlo S_RB estimate over inner-syndrome assignments.
 
-    Every sample draws the syndrome class of each block below the top
-    layer from its conditional distribution and evaluates the top layer
+    Every sample draws the conditional channel of each innermost block
+    from the entries the exact path feeds to the second layer
+    (``top_entries``: closed form for an innermost repetition layer of any
+    length), then, layer by layer up to the top, the syndrome class of each
+    block from its conditional distribution, and evaluates the top layer
     exactly; the estimator is the sample mean and is unbiased.  Each
     sampled layer is evaluated in row blocks of at most ``_CHUNK_ELEMS``
     spectrum elements, which bound the memory of a chunk.  Sampling
@@ -398,37 +394,23 @@ def s_rb_stack_mc(stack: CodeStack, ch: PauliChannel, samples: int = 100_000,
     """
     if len(stack.layers) < 2:
         raise ValueError("Monte Carlo path needs at least two layers")
-    # number of blocks of each layer
-    nblocks = []
-    acc = 1
-    for layer in reversed(stack.layers):
-        nblocks.append(acc)
-        acc *= layer.n
-    nblocks.reverse()  # nblocks[i] = count of layer-i blocks
-
-    # innermost layer sees the physical channel on every block: one table
-    inner = stack.layers[0]
-    table0 = coset_distribution(inner, [ch] * inner.n)
-    synd0, cond0 = _conditional_channels(table0.probs[None, :, :])
-    w0, cond0 = synd0[0], cond0[0]
-    cum0 = np.cumsum(w0)
+    if samples < 1:
+        raise ValueError(f"Monte Carlo needs at least one sample, got {samples}")
+    inner = top_entries(CodeStack(stack.layers[:2]), ch)
+    cum0 = np.cumsum(inner.weights)
     cum0[-1] = 1.0
-
+    top = stack.layers[-1]
     total = 0.0
     total_sq = 0.0
-    done = 0
-    chunk_index = 0
-    while done < samples:
-        nsamp = min(_MC_CHUNK, samples - done)
+    for chunk_index, start in enumerate(range(0, samples, _MC_CHUNK)):
+        nsamp = min(_MC_CHUNK, samples - start)
         rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
-        draws = rng.random((nsamp, nblocks[0]))
-        idx = np.searchsorted(cum0, draws, side="right")
-        chans = cond0[idx]  # (nsamp, blocks0, 4)
-        for li in range(1, len(stack.layers) - 1):
-            layer = stack.layers[li]
-            rows = chans.reshape(nsamp * nblocks[li], layer.n, 4)
+        draws = rng.random((nsamp, stack.total_length // stack.layers[0].n))
+        chans = inner.channels[np.searchsorted(cum0, draws, side="right")]
+        for layer in stack.layers[1:-1]:
+            rows = chans.reshape(-1, layer.n, 4)
             u = rng.random((rows.shape[0], 1))
-            picked = np.empty((rows.shape[0], 4))
+            chans = np.empty((rows.shape[0], 4))
             for blk in _row_blocks(layer, rows.shape[0]):
                 # pick each row's syndrome, then divide only its cells
                 cells = _batched_cells(layer, rows[blk])
@@ -436,17 +418,13 @@ def s_rb_stack_mc(stack: CodeStack, ch: PauliChannel, samples: int = 100_000,
                 cum[:, -1] = 1.0
                 pick = (u[blk] > cum).sum(axis=1)
                 at = np.arange(pick.size)
-                picked[blk] = _conditional_channels(cells[at, pick, None])[1][:, 0]
-            chans = picked.reshape(nsamp, nblocks[li], 4)
-        top = stack.layers[-1]
+                chans[blk] = _conditional_channels(cells[at, pick, None])[1][:, 0]
         rows = chans.reshape(nsamp, top.n, 4)
         vals = np.empty(nsamp)
         for blk in _row_blocks(top, nsamp):
             vals[blk] = batched_s_rb(_batched_cells(top, rows[blk]))
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
-        done += nsamp
-        chunk_index += 1
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     std_error = math.sqrt(var / samples)

@@ -10,8 +10,10 @@ import pytest
 
 import cosetcap
 from cosetcap import compose_stack, parse_stack_spec, registry_get, serialize_code
+from cosetcap.capacity import DEFAULT_TOL
 from cosetcap.cli import (EXIT_DIFF, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                           build_parser, run)
+from cosetcap.optimize import DEFAULT_RESTARTS
 
 
 def test_help_documents_stack_convention():
@@ -40,6 +42,7 @@ def test_threshold_output(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["threshold"] == pytest.approx(0.06345202935, abs=1e-9)
     assert payload["method"] == "grouped"
+    assert payload["tol"] == DEFAULT_TOL  # the library's default
     assert 0 < payload["evals"] <= 15
 
 
@@ -61,6 +64,32 @@ def test_out_of_range_p_is_validation_error(capsys):
 
 def test_usage_error_exit_code():
     assert run(["threshold", "--channel"]) == EXIT_VALIDATION
+
+
+def test_out_and_format_only_where_honoured(tmp_path, capsys):
+    # only sweep writes a file, and each subcommand offers only the
+    # formats it prints
+    out = tmp_path / "out.txt"
+    assert run(["threshold", "--code", "5repZ", "--channel", "depol",
+                "--out", str(out)]) == EXIT_VALIDATION
+    assert run(["rate", "--code", "", "--channel", "depol", "--p", "0",
+                "--out", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
+    assert run(["rate", "--code", "", "--channel", "depol", "--p", "0",
+                "--format", "csv"]) == EXIT_VALIDATION
+    assert run(["threshold", "--code", "5repZ", "--channel", "depol",
+                "--format", "csv"]) == EXIT_VALIDATION
+    assert run(["sweep", "--code", "", "--channel", "depol", "--range", "0:0.06:2",
+                "--format", "table"]) == EXIT_VALIDATION
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_nonpositive_samples_is_validation_error(samples, capsys):
+    assert run(["rate", "--code", "repZ(3) x repX(3)", "--channel", "depol",
+                "--p", "0.05", "--samples", samples]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and "at least one sample" in captured.err
 
 
 def test_unknown_code_in_sweep(capsys):
@@ -118,6 +147,13 @@ def test_optimize_json(capsys):
     assert payload["stack"] == "repZ(3)"
     assert payload["restarts"] == 2
     assert 0 < payload["steps"] <= payload["evaluations"]
+
+
+def test_optimize_defaults_are_the_library_defaults(capsys):
+    assert run(["optimize", "--code", "repZ(3)"]) == EXIT_OK
+    out = capsys.readouterr().out
+    payload = json.loads(out[: out.rindex("}") + 1])
+    assert payload["restarts"] == DEFAULT_RESTARTS and payload["seed"] == 0
 
 
 def test_tables_runner_table10(capsys):

@@ -108,7 +108,7 @@ def test_grouping_never_changes_values():
     for spec in ("repZ(3) x repX(3)", "repZ(2) x repX(2) x repZ(2)", "repZ(3) x 422"):
         stack = parse_stack_spec(spec)
         grouped = s_rb_stack_exact(stack, CH06)
-        raw = s_rb_stack_exact(stack, CH06, group_tol=0.0, canonicalize=False)
+        raw = s_rb_stack_exact(stack, CH06, raw=True)
         assert grouped == pytest.approx(raw, abs=1e-12)
 
 
@@ -201,6 +201,26 @@ def test_three_layer_mc_runs():
     assert abs(est - exact) <= 4.0 * se
 
 
+@pytest.mark.parametrize("spec", ["repZ(15) x 5qubit", "repZ(15) x 5qubit x repZ(3)"])
+def test_mc_takes_long_innermost_repetition_layers(spec):
+    # the innermost blocks draw from the closed-form entries of top_entries,
+    # so an innermost repetition layer has no 13-qubit limit here either
+    stack = parse_stack_spec(spec)
+    ch = family_eval(DEPOL, 0.02)
+    exact = capacity.evaluate_s_rb(stack, ch).s_rb
+    est, se = s_rb_stack_mc(stack, ch, samples=20_000, seed=1)
+    assert se > 0.0 and abs(est - exact) <= 4.0 * se
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_mc_needs_a_positive_sample_count(samples):
+    stack = parse_stack_spec("repZ(3) x repX(3)")
+    with pytest.raises(ValueError, match="at least one sample"):
+        s_rb_stack_mc(stack, CH06, samples=samples)
+    with pytest.raises(ValueError, match="at least one sample"):
+        capacity.evaluate_s_rb(CodeStack(stack.layers, MonteCarlo(samples=samples)), CH06)
+
+
 @pytest.mark.parametrize("name", ["5qubit", "422", "toric822", "biased9"])
 def test_site_sign_matrices_match_brute_force_parity(name):
     # the pattern table is 2 parity(v & mask_X) + parity(v & mask_Z), and
@@ -267,7 +287,7 @@ def test_grouped_engine_matches_flat_composition(spec, ch):
     grouped = s_rb_stack_exact(stack, ch)
     assert np.isfinite(grouped)
     assert grouped == pytest.approx(gather_s_rb(compose_stack(stack), ch), abs=1e-9)
-    raw = s_rb_stack_exact(stack, ch, group_tol=0.0, canonicalize=False)
+    raw = s_rb_stack_exact(stack, ch, raw=True)
     assert raw == pytest.approx(grouped, abs=1e-12)
 
 
@@ -370,7 +390,7 @@ def test_chunking_never_changes_values(monkeypatch, chunk_elems):
     for spec in ("repZ(3) x 422", "repZ(2) x 613H", "repZ(2) x repX(2) x 3repX"):
         stack = parse_stack_spec(spec)
         want = gather_s_rb(compose_stack(stack), ch)
-        raw = s_rb_stack_exact(stack, ch, group_tol=0.0, canonicalize=False)
+        raw = s_rb_stack_exact(stack, ch, raw=True)
         assert raw == pytest.approx(want, abs=1e-9)
         assert s_rb_stack_exact(stack, ch) == pytest.approx(want, abs=1e-9)
 
