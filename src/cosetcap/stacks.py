@@ -30,7 +30,9 @@ layer takes one of E input channels, so the (n, E, 2^bits) table of their
 spectra is built once per layer from the code's character table; each
 orbit representative multiplies a product of its first sites' rows with
 one row of a block holding the products of every combination of its last
-sites.  Sampled rows are evaluated in blocks of rows by per-site matmuls.
+sites.  Sampled blocks are rows of indices into a table of distinct
+channels; each distinct row is evaluated once, in blocks of rows by
+per-site matmuls.
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ _MC_CHUNK = 20_000  # Monte Carlo samples per Philox stream
 class MonteCarlo:
     samples: int = 100_000
     seed: int = 0
+
+    def __post_init__(self):
+        _check_samples(self.samples)
 
 
 @dataclass(frozen=True)
@@ -376,6 +381,79 @@ def _row_blocks(code: StabilizerCode, count: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
+def _distinct_rows(rows: np.ndarray, radix: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of an (R, n) array of indices below ``radix``, in
+    lexicographic order, and the position of each row among them.
+
+    The columns fold into one int64 key per row in mixed radix.  Before the
+    key could pass 2^62 it is replaced by its rank among the distinct keys
+    so far, which keeps their order, so R * radix <= 2^62 suffices.
+    """
+    key = np.zeros(rows.shape[0], dtype=np.int64)
+    bound = 1
+    for col in rows.T:
+        if bound * radix > 1 << 62:
+            _, key = np.unique(key, return_inverse=True)
+            bound = int(key.max()) + 1
+        key = key * radix + col
+        bound *= radix
+    key, inverse = np.unique(key, return_inverse=True)
+    distinct = np.empty((key.size, rows.shape[1]), dtype=rows.dtype)
+    distinct[inverse] = rows
+    return distinct, inverse
+
+
+def _sample_syndromes(layer: StabilizerCode, table: np.ndarray, rows: np.ndarray,
+                      u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the syndrome class of each sampled block of ``layer``.
+
+    ``rows`` (R, n) index the site channels ``table`` (E, 4); ``u`` (R, 1)
+    holds one uniform draw per row.  The Walsh engine runs once per
+    distinct row, in row blocks, and each row picks the first syndrome
+    whose cumulative weight reaches its draw, in row blocks of the samples
+    of that block.  Returns the conditional channels of the distinct
+    (row, syndrome) pairs and each row's index into them.
+    """
+    uniq, inv = _distinct_rows(rows, table.shape[0])
+    order = np.argsort(inv)
+    sorted_inv = inv[order]
+    index = np.empty(rows.shape[0], dtype=np.intp)
+    chans, count = [], 0
+    for blk in _row_blocks(layer, uniq.shape[0]):
+        cells = _batched_cells(layer, table[uniq[blk]])
+        cum = np.cumsum(_syndrome_probs(cells), axis=1)
+        cum[:, -1] = 1.0
+        members = order[slice(*np.searchsorted(sorted_inv, (blk.start, blk.stop)))]
+        local = inv[members] - blk.start
+        pick = np.empty(members.size, dtype=np.intp)
+        for sub in _row_blocks(layer, members.size):
+            pick[sub] = (u[members[sub]] > cum[local[sub]]).sum(axis=1)
+        pairs, pair = np.unique(local * cum.shape[1] + pick, return_inverse=True)
+        index[members] = count + pair
+        at, synd = np.divmod(pairs, cum.shape[1])
+        chans.append(_conditional_channels(cells[at, synd, None])[1][:, 0])
+        count += pairs.size
+    return np.concatenate(chans), index
+
+
+def _top_values(top: StabilizerCode, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """S_RB of ``top`` for each row of indices into the site channels
+    ``table``, evaluated once per distinct row.  A repetition top's rows
+    are sorted first: every site permutation fixes its S_RB."""
+    if rep_type_of(top) is not None:
+        rows = np.sort(rows, axis=1)
+    uniq, inv = _distinct_rows(rows, table.shape[0])
+    vals = np.empty(uniq.shape[0])
+    for blk in _row_blocks(top, uniq.shape[0]):
+        vals[blk] = batched_s_rb(_batched_cells(top, table[uniq[blk]]))
+    return vals[inv]
+
+
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"Monte Carlo needs at least one sample, got {samples}")
+
+
 def s_rb_stack_mc(stack: CodeStack, ch: PauliChannel, samples: int = 100_000,
                   seed: int = 0) -> tuple[float, float]:
     """Monte Carlo S_RB estimate over inner-syndrome assignments.
@@ -385,17 +463,22 @@ def s_rb_stack_mc(stack: CodeStack, ch: PauliChannel, samples: int = 100_000,
     (``top_entries``: closed form for an innermost repetition layer of any
     length), then, layer by layer up to the top, the syndrome class of each
     block from its conditional distribution, and evaluates the top layer
-    exactly; the estimator is the sample mean and is unbiased.  Each
-    sampled layer is evaluated in row blocks of at most ``_CHUNK_ELEMS``
-    spectrum elements, which bound the memory of a chunk.  Sampling
-    uses a counter-based Philox generator keyed by (seed, chunk index),
-    chunks of ``_MC_CHUNK`` samples, so results are reproducible and
-    chunks are independent.
+    exactly; the estimator is the sample mean and is unbiased.
+
+    A sampled block is a row of indices into a small table of distinct
+    channels: the innermost entries, then each middle layer's distinct
+    (row, syndrome) pairs.  Each sampled layer runs the Walsh engine once
+    per distinct row of a chunk, at most min(rows, E^n) for E table
+    entries, and gathers the results back to the samples; a repetition
+    top sorts its rows first.  Rows are evaluated in blocks of at most
+    ``_CHUNK_ELEMS`` spectrum elements, which bound the memory of a chunk.
+    Sampling uses a counter-based Philox generator keyed by (seed, chunk
+    index), chunks of ``_MC_CHUNK`` samples, so results are reproducible
+    and chunks are independent.
     """
     if len(stack.layers) < 2:
         raise ValueError("Monte Carlo path needs at least two layers")
-    if samples < 1:
-        raise ValueError(f"Monte Carlo needs at least one sample, got {samples}")
+    _check_samples(samples)
     inner = top_entries(CodeStack(stack.layers[:2]), ch)
     cum0 = np.cumsum(inner.weights)
     cum0[-1] = 1.0
@@ -406,23 +489,12 @@ def s_rb_stack_mc(stack: CodeStack, ch: PauliChannel, samples: int = 100_000,
         nsamp = min(_MC_CHUNK, samples - start)
         rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
         draws = rng.random((nsamp, stack.total_length // stack.layers[0].n))
-        chans = inner.channels[np.searchsorted(cum0, draws, side="right")]
+        table, index = inner.channels, np.searchsorted(cum0, draws, side="right")
         for layer in stack.layers[1:-1]:
-            rows = chans.reshape(-1, layer.n, 4)
-            u = rng.random((rows.shape[0], 1))
-            chans = np.empty((rows.shape[0], 4))
-            for blk in _row_blocks(layer, rows.shape[0]):
-                # pick each row's syndrome, then divide only its cells
-                cells = _batched_cells(layer, rows[blk])
-                cum = np.cumsum(_syndrome_probs(cells), axis=1)
-                cum[:, -1] = 1.0
-                pick = (u[blk] > cum).sum(axis=1)
-                at = np.arange(pick.size)
-                chans[blk] = _conditional_channels(cells[at, pick, None])[1][:, 0]
-        rows = chans.reshape(nsamp, top.n, 4)
-        vals = np.empty(nsamp)
-        for blk in _row_blocks(top, nsamp):
-            vals[blk] = batched_s_rb(_batched_cells(top, rows[blk]))
+            rows = index.reshape(-1, layer.n)
+            table, index = _sample_syndromes(layer, table, rows,
+                                             rng.random((rows.shape[0], 1)))
+        vals = _top_values(top, table, index.reshape(nsamp, top.n))
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
     mean = total / samples

@@ -86,10 +86,12 @@ def test_out_and_format_only_where_honoured(tmp_path, capsys):
 
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_nonpositive_samples_is_validation_error(samples, capsys):
-    assert run(["rate", "--code", "repZ(3) x repX(3)", "--channel", "depol",
-                "--p", "0.05", "--samples", samples]) == EXIT_VALIDATION
-    captured = capsys.readouterr()
-    assert captured.out == "" and "at least one sample" in captured.err
+    # the empty stack never samples, but its sample count is checked too
+    for code in ("repZ(3) x repX(3)", ""):
+        assert run(["rate", "--code", code, "--channel", "depol",
+                    "--p", "0.05", "--samples", samples]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == "" and "at least one sample" in captured.err
 
 
 def test_unknown_code_in_sweep(capsys):

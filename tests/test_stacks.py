@@ -15,6 +15,7 @@ from cosetcap.exact import (_E4, _WHT_BLOCK, _cells, _character_table, _inverse_
 from cosetcap.longrep import s_rb_estimate_atoms
 from cosetcap.pauli import PauliString
 from cosetcap.stacks import StackBudgetError, _orbit_table
+from mc_reference import s_rb_stack_mc_rows
 from xor_reference import gather_s_rb, letter_masks
 
 DEPOL = ChannelFamily("depolarizing")
@@ -219,6 +220,50 @@ def test_mc_needs_a_positive_sample_count(samples):
         s_rb_stack_mc(stack, CH06, samples=samples)
     with pytest.raises(ValueError, match="at least one sample"):
         capacity.evaluate_s_rb(CodeStack(stack.layers, MonteCarlo(samples=samples)), CH06)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("p", [0.02, 0.0635])
+@pytest.mark.parametrize("spec", ["repZ(5) x biased9", "repX(3) x 5qubit x repZ(3)",
+                                  "repZ(15) x 5qubit x repZ(3)", "5qubit x 5qubit",
+                                  "repZ(3) x steane"])
+def test_mc_matches_row_by_row_sampler(spec, p, seed):
+    # same draws, each distinct row evaluated once: equal up to summation
+    # order; 45,000 samples span three Philox chunks
+    stack, ch = parse_stack_spec(spec), family_eval(DEPOL, p)
+    est, se = s_rb_stack_mc(stack, ch, samples=45_000, seed=seed)
+    ref_est, ref_se = s_rb_stack_mc_rows(stack, ch, samples=45_000, seed=seed)
+    assert abs(est - ref_est) <= 1e-12 and abs(se - ref_se) <= 1e-12
+
+
+def test_mc_evaluates_each_distinct_row_once(monkeypatch):
+    rows = {}
+
+    def counting(code, chans):
+        rows[code.name] = rows.get(code.name, 0) + chans.shape[0]
+        return batched_cells(code, chans)
+
+    batched_cells = stacks._batched_cells
+    monkeypatch.setattr(stacks, "_batched_cells", counting)
+    ch = family_eval(DEPOL, 0.0635)
+    # c4: 3 innermost entries on the 5 sites of 5qubit, 100,000 sampled rows
+    s_rb_stack_mc(parse_stack_spec("repX(5) x 5qubit x repZ(5)"), ch, samples=20_000)
+    assert 0 < rows["5qubit"] <= 3 ** 5
+    s_rb_stack_mc(parse_stack_spec("repZ(5) x biased9"), ch, samples=20_000)
+    assert 0 < rows["biased9"] < 20_000
+
+
+def test_distinct_rows_past_the_key_range():
+    # radix 2^40 on 3 columns: the folded key would pass 2^62 unless re-ranked
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, 1 << 40, size=(500, 3))
+    rows[:, 0] = rng.integers((1 << 40) - 3, 1 << 40, size=500)  # collide on column 0
+    rows[100:200] = rows[rng.integers(0, 100, size=100)]  # planted duplicates
+    rows[300:, 1:] = rows[200:400, 1:]  # shared suffixes
+    distinct, inverse = stacks._distinct_rows(rows, 1 << 40)
+    ref, ref_inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert np.array_equal(distinct, ref) and np.array_equal(inverse, ref_inverse.ravel())
+    assert distinct.shape[0] < 400
 
 
 @pytest.mark.parametrize("name", ["5qubit", "422", "toric822", "biased9"])
