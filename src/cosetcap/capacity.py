@@ -20,7 +20,7 @@ Evaluation dispatch, in order, all in ``evaluate_s_rb``:
 
 ``evaluate_s_rb_batch`` takes an (A, 4) array of channels: one engine call
 for a single Walsh or multiset-sum repetition layer, ``evaluate_s_rb`` per
-row for every other stack.
+row for every other stack, the empty one included.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (ChannelFamily, PauliChannel, bracketed_root, channel_entropy,
-                       entropy_bits, entropy_peak, family_eval, hashing_point)
+                       entropy_peak, family_eval, hashing_point)
 from .codes import rep_type_of
 from .exact import _batched_cells, batched_s_rb, s_rb_code
 from .longrep import SERIES_HEAD, estimate_nodes, s_rb_estimate_atoms
@@ -101,13 +101,11 @@ def evaluate_s_rb(stack: CodeStack, ch: PauliChannel) -> Evaluation:
 def evaluate_s_rb_batch(stack: CodeStack, chans: np.ndarray) -> np.ndarray:
     """S_RB of a stack under each channel row of ``chans`` (A, 4), as (A,).
 
-    The empty stack gives the rows' entropies.  A single Walsh layer goes
-    through the Walsh engine, and a single repetition layer on the
-    multiset-sum side of ``_evaluate_atoms`` through the atom engine, once
-    for all rows.  Every other stack runs ``evaluate_s_rb`` row by row.
+    A single Walsh layer goes through the Walsh engine, and a single
+    repetition layer on the multiset-sum side of ``_evaluate_atoms``
+    through the atom engine, once for all rows.  Every other stack runs
+    ``evaluate_s_rb`` row by row.
     """
-    if not stack.layers:
-        return np.array([entropy_bits(row) for row in chans.tolist()])
     if len(stack.layers) == 1 and not isinstance(stack.strategy, MonteCarlo):
         top = stack.layers[0]
         top_type = rep_type_of(top)
@@ -149,7 +147,6 @@ class ThresholdResult:
     tol: float
     bracket: tuple[float, float]
     std_error: float | None = None
-    crossed: bool = True
     evals: int = 0
 
 
@@ -163,8 +160,11 @@ def threshold(stack: CodeStack, family: ChannelFamily, tol: float = DEFAULT_TOL,
     random numbers (so it is a deterministic function of p) and report the
     threshold's standard error through the local slope.  ``evals`` counts
     every S_RB evaluation made, the two bracket ends and, for Monte Carlo,
-    the three error-bar evaluations included.
+    the three error-bar evaluations included.  ``tol`` must be finite and
+    positive; below the spacing of doubles the bracket ends adjacent.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"threshold tolerance must be finite and positive, got {tol!r}")
     target = float(stack.k_outer)
     if bracket is None:
         lo = 0.5 * hashing_point(family)
@@ -186,7 +186,7 @@ def threshold(stack: CodeStack, family: ChannelFamily, tol: float = DEFAULT_TOL,
             f"no rate sign change on [{lo:.6g}, {hi:.6g}] "
             f"(S_RB - k: {f_lo:.3g}, {f_hi:.3g})")
     eff_tol = max(tol, 1e-7 if is_mc else 0.0)
-    lo, hi, evals = bracketed_root(f, lo, hi, eff_tol, f_lo=f_lo, f_hi=f_hi)
+    lo, hi, evals = bracketed_root(f, lo, hi, eff_tol, f_lo, f_hi)
     evals += 2
     p_star = 0.5 * (lo + hi)
 

@@ -61,7 +61,7 @@ class ChannelFamily:
     ``coefficients`` is only used for kind == "custom" and must sum to 1
     within 1e-9 (the printed precision of published optimization results);
     out-of-tolerance triples are rejected rather than silently fixed.
-    Use ``custom_family(..., renormalize=True)`` for rounded inputs.
+    ``custom_family`` rescales rounded inputs.
     """
 
     kind: str
@@ -99,20 +99,19 @@ class ChannelFamily:
         return f"custom:{cx:.10g},{cy:.10g},{cz:.10g}"
 
 
-def custom_family(c_x: float, c_y: float, c_z: float, renormalize: bool = False) -> ChannelFamily:
-    """Build a custom family; ``renormalize`` rescales a rounded triple exactly."""
-    if renormalize:
-        s = c_x + c_y + c_z
-        if not 0.999 < s < 1.001:
-            raise ValueError(f"coefficients too far from normalized: sum={s}")
-        c_x, c_y, c_z = c_x / s, c_y / s, c_z / s
-    return ChannelFamily("custom", (c_x, c_y, c_z))
+def custom_family(c_x: float, c_y: float, c_z: float) -> ChannelFamily:
+    """Build a custom family from a rounded triple, rescaled to sum to 1;
+    a triple whose sum is outside (0.999, 1.001) is refused."""
+    s = c_x + c_y + c_z
+    if not 0.999 < s < 1.001:
+        raise ValueError(f"coefficients too far from normalized: sum={s}")
+    return ChannelFamily("custom", (c_x / s, c_y / s, c_z / s))
 
 
 def parse_channel_spec(text: str) -> ChannelFamily:
     """Parse a CLI channel specifier: depol | indxz | twopauli | custom:cX,cY,cZ.
 
-    Custom coefficients are renormalized when their sum is within 1e-6 of 1,
+    Custom coefficients are rescaled when their sum is within 1e-6 of 1,
     so triples printed at 8 decimals round-trip.
     """
     t = text.strip()
@@ -132,7 +131,7 @@ def parse_channel_spec(text: str) -> ChannelFamily:
             raise ValueError(f"bad coefficient in channel spec {text!r}") from None
         if abs(sum(c) - 1.0) > 1e-6:
             raise ValueError(f"custom coefficients sum to {sum(c)}, not 1")
-        return custom_family(*c, renormalize=True)
+        return custom_family(*c)
     raise ValueError(f"unknown channel spec {text!r}")
 
 
@@ -187,9 +186,9 @@ def entropy_peak(family: ChannelFamily) -> float:
     return 1.0 / (1.0 + 2.0 ** -entropy_bits(family.coefficients))
 
 
-def bracketed_root(f, lo: float, hi: float, tol: float,
-                   f_lo: float | None = None, f_hi: float | None = None):
-    """Shrink a bracket with f(lo) < 0 <= f(hi) to width <= tol.
+def bracketed_root(f, lo: float, hi: float, tol: float, f_lo: float, f_hi: float):
+    """Shrink a bracket with f_lo = f(lo) < 0 <= f_hi = f(hi) to width <= tol,
+    or to adjacent doubles where tol is finer than their spacing.
 
     Chandrupatla's method (Adv. Eng. Software 28 (1997) 145): inverse
     quadratic interpolation through the last three points when it is safe,
@@ -197,21 +196,16 @@ def bracketed_root(f, lo: float, hi: float, tol: float,
     interpolated point that lands across the root but leaves more than half
     the bracket has overshot; after two overshoots (a kink or noise at the
     root, where interpolation converges more slowly than bisection) every
-    later step bisects.  Endpoint values the caller already has are passed
-    as ``f_lo``/``f_hi``.  Returns (lo, hi, evaluations of f); both ends are
-    evaluated points.
+    later step bisects.  Returns (lo, hi, evaluations of f inside the
+    bracket); both ends are evaluated points.
     """
     evals = 0
-    if f_lo is None:
-        f_lo, evals = f(lo), evals + 1
-    if f_hi is None:
-        f_hi, evals = f(hi), evals + 1
     if not f_lo < 0.0 <= f_hi:
         raise ValueError(f"f does not change sign on [{lo!r}, {hi!r}]: {f_lo!r}, {f_hi!r}")
     # x1 is the newest point, x2 the other bracket end, x3 the one dropped
     x1, f1, x2, f2, x3, f3 = hi, f_hi, lo, f_lo, lo, f_lo
     t, interpolated, overshoots = 0.5, False, 0
-    while abs(x1 - x2) > tol:
+    while abs(x1 - x2) > tol and math.nextafter(x1, x2) != x2:
         x = x1 + t * (x2 - x1)
         fx, evals = f(x), evals + 1
         if (fx >= 0.0) == (f1 >= 0.0):

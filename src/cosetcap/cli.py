@@ -8,10 +8,11 @@ twopauli, or custom:cX,cY,cZ.  ``longrep --inner n --outer m`` is
 long-rep estimator by cost like every other repetition top.
 
 Exit codes: 0 success, 1 regression mismatches, 2 validation error
-(including a sample count below 1, and a code or stack layer longer than
-the exact engine's 13 qubits; innermost repetition layers and repetition
-tops, which have closed forms, have no such limit, exact or Monte Carlo),
-3 numerical failure (no bracket, enumeration budget).
+(including a sample count below 1, a threshold tolerance that is not
+finite and positive, fewer than one restart, and a code or stack layer
+longer than the exact engine's 13 qubits; innermost repetition layers and
+repetition tops, which have closed forms, have no such limit, exact or
+Monte Carlo), 3 numerical failure (no bracket, enumeration budget).
 """
 
 from __future__ import annotations

@@ -82,9 +82,9 @@ class CosetTable:
     def syndrome_probs(self) -> np.ndarray:
         return self.probs.sum(axis=1)
 
-    def check_invariants(self, total_tol: float = 1e-10) -> None:
+    def check_invariants(self) -> None:
         total = float(self.probs.sum())
-        if abs(total - 1.0) > total_tol:
+        if abs(total - 1.0) > 1e-10:
             raise AssertionError(f"coset table mass {total!r} != 1")
         if float(self.probs.min()) < -1e-14:
             raise AssertionError("negative coset probability")

@@ -37,7 +37,7 @@ r side, a characteristic-function quadrature.  The ratios are
 non-negative; an r = 0 atom zeroes the product, so with w0 the total
 weight of those atoms E[-ln(1 + prod r)] = -(1 - w0)^m E[ln(1 + e^X)],
 where X is the sum of m i.i.d. draws of Y = ln r over the live atoms
-(weights renormalized).  Since ln(1 + e^x) = x/2 + ln 2 + ln cosh(x/2) and
+(weights rescaled).  Since ln(1 + e^x) = x/2 + ln 2 + ln cosh(x/2) and
 the second derivative of ln cosh(x/2), (1/4) sech^2(x/2), has Fourier
 transform pi t / sinh(pi t),
 
@@ -217,11 +217,8 @@ def estimate_nodes(rows: np.ndarray, m: int) -> int:
     return SERIES_HEAD + 80 * 24 + _R_ORDER * panels  # head, _tail_rule, r side
 
 
-def s_rb_estimate(n: int, m: int, family, p: float,
-                  inner_type: str = "X") -> LongRepEstimate:
-    """Estimated S_RB (bits) of the n x m concatenated repetition code on a
-    channel family at parameter p; ``inner_type`` names the stabilizer type
-    of the inner blocks, the outer layer has the complementary type."""
-    weights, channels = block_entries(n, inner_type, family_eval(family, p))
-    rows = top_atoms(weights, channels, "Z" if inner_type == "X" else "X")
-    return LongRepEstimate(s_rb_estimate_atoms(rows, m))
+def s_rb_estimate(n: int, m: int, family, p: float) -> LongRepEstimate:
+    """Estimated S_RB (bits) of the n x m concatenated repetition code
+    repX(n) x repZ(m) on a channel family at parameter p."""
+    weights, channels = block_entries(n, "X", family_eval(family, p))
+    return LongRepEstimate(s_rb_estimate_atoms(top_atoms(weights, channels, "Z"), m))

@@ -110,11 +110,11 @@ class OptimizationResult:
 def nonadditivity_at_hashing(stack: CodeStack, c) -> tuple[float, float]:
     """(p_hash, rate at p_hash) of the custom channel with coefficients c.
 
-    Printed coefficient triples are renormalized exactly before use; at the
+    Printed coefficient triples are rescaled exactly before use; at the
     hashing point the hashing baseline vanishes, so the rate is the
     non-additivity itself.
     """
-    family = custom_family(*c, renormalize=True)
+    family = custom_family(*c)
     p_hash = hashing_point(family)
     return p_hash, rate(stack, family, p_hash)
 
@@ -138,7 +138,7 @@ def _objective(stack: CodeStack, theta: np.ndarray):
     (A, 2), as (A,), and the coefficient triples it was taken at: the
     batched ``nonadditivity_at_hashing``."""
     cs = _theta_to_c(theta)
-    families = [custom_family(*c, renormalize=True) for c in cs]
+    families = [custom_family(*c) for c in cs]
     p = np.array([hashing_point(f) for f in families])[:, None]
     chans = np.hstack([1.0 - p, np.array([f.coefficients for f in families]) * p])
     s_rb = evaluate_s_rb_batch(stack, chans)
@@ -206,6 +206,8 @@ def optimize_channel(stack: CodeStack, restarts: int = DEFAULT_RESTARTS,
     lexicographically smallest coefficient triple, making the reduction
     deterministic.
     """
+    if restarts < 1:
+        raise ValueError(f"optimize needs at least one restart, got {restarts}")
     starts = _starts(restarts, seed)
     runs = [_nelder_mead(_c_to_theta(start)) for start in starts]
     pending = {idx: next(run) for idx, run in enumerate(runs)}
@@ -225,7 +227,7 @@ def optimize_channel(stack: CodeStack, restarts: int = DEFAULT_RESTARTS,
     for idx, start in enumerate(starts):
         f, c, used = done[idx]
         q = -f
-        p_hash = hashing_point(custom_family(*c, renormalize=True))
+        p_hash = hashing_point(custom_family(*c))
         trace.append(RestartResult(idx, start, c, q, p_hash, used))
         key = (-q, c)
         if best is None or key < best[0]:

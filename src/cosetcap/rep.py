@@ -65,7 +65,6 @@ class BlockTable:
     """h^b_{k,n} for one repetition block: shape (2, n+1) array indexed [b, k]."""
 
     n: int
-    stabilizer_type: str
     h: np.ndarray
 
     def cell_weights(self) -> np.ndarray:
@@ -73,11 +72,11 @@ class BlockTable:
         comb = np.array([math.comb(self.n, k) for k in range(self.n + 1)], dtype=float)
         return self.h * comb
 
-    def check_invariants(self, tol: float = 1e-12) -> None:
+    def check_invariants(self) -> None:
         if float(self.h.min()) < -1e-15:
             raise AssertionError("negative block coset probability")
         total = float(self.cell_weights().sum())
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > 1e-12:
             raise AssertionError(f"block table mass {total!r} != 1")
 
 
@@ -98,7 +97,7 @@ def block_table(n: int, stabilizer_type: str, ch: PauliChannel) -> BlockTable:
     h = 0.5 * (_SUM_DIFF @ terms)
     # clamp tiny negative residue from cancellation
     np.maximum(h, 0.0, out=h)
-    return BlockTable(n, stabilizer_type, h)
+    return BlockTable(n, h)
 
 
 def _f_even_odd(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
@@ -231,17 +230,18 @@ def top_atoms(weights: np.ndarray, channels: np.ndarray, top_type: str) -> np.nd
     return rows
 
 
-def s_rb_rep(n: int, m: int, ch: PauliChannel, inner_type: str = "X") -> float:
-    """Exact S_RB (bits) of the n x m concatenated repetition code.
+def s_rb_rep(n: int, m: int, ch: PauliChannel) -> float:
+    """Exact S_RB (bits) of the n x m concatenated repetition code
+    repX(n) x repZ(m): X-type inner blocks under a Z-type outer layer.
 
-    ``inner_type`` names the stabilizer type of the inner blocks; the outer
-    layer has the complementary type.  m = 1 degenerates to a single
-    [[n,1]] block; n = 1 to a single [[m,1]] outer code.  Raises
-    StackBudgetError where the multisets exceed ASSIGNMENT_BUDGET (a memory
-    guard).
+    Z-type inner blocks under an X-type outer layer see the channel with
+    X and Z swapped: ``s_rb_rep(n, m, ch.swap_xz())``.  m = 1 degenerates
+    to a single [[n,1]] block; n = 1 to a single [[m,1]] outer code.
+    Raises StackBudgetError where the multisets exceed ASSIGNMENT_BUDGET
+    (a memory guard).
     """
-    weights, channels = block_entries(n, inner_type, ch)
-    return s_rb_atoms(top_atoms(weights, channels, "Z" if inner_type == "X" else "X"), m)
+    weights, channels = block_entries(n, "X", ch)
+    return s_rb_atoms(top_atoms(weights, channels, "Z"), m)
 
 
 def s_rb_atoms(rows: np.ndarray, m: int):

@@ -47,7 +47,7 @@ from .channels import PauliChannel, channel_entropy
 from .codes import (StabilizerCode, registry_get, rep_type_of, site_automorphisms,
                     validate_code)
 from .exact import (CLASS_OF_LETTER, ROUND_OFF, _batched_cells, _cells, _site_signs,
-                    batched_s_rb, coset_distribution)
+                    batched_s_rb)
 from .pauli import PauliString, pauli_mul
 from .rep import (StackBudgetError, block_entries,  # the error re-exported
                   check_budget, multisets)
@@ -68,10 +68,11 @@ class MonteCarlo:
 
 @dataclass(frozen=True)
 class CodeStack:
-    """Ordered concatenation layers, innermost first."""
+    """Ordered concatenation layers, innermost first, evaluated exactly
+    unless ``strategy`` is a MonteCarlo instance."""
 
     layers: tuple[StabilizerCode, ...] = ()
-    strategy: object = "exact"  # "exact" or a MonteCarlo instance
+    strategy: MonteCarlo | None = None
 
     def __post_init__(self):
         for layer in self.layers[:-1]:
@@ -126,8 +127,8 @@ class EffectiveChannelSet:
     weights: np.ndarray   # (E,)
     channels: np.ndarray  # (E, 4) in (I, X, Y, Z) order
 
-    def check_invariants(self, tol: float = 1e-10) -> None:
-        if abs(float(self.weights.sum()) - 1.0) > tol:
+    def check_invariants(self) -> None:
+        if abs(float(self.weights.sum()) - 1.0) > 1e-10:
             raise AssertionError("effective-set weights do not sum to 1")
         rows = self.channels.sum(axis=1)
         if np.abs(rows - 1.0).max() > 1e-9:
@@ -188,8 +189,9 @@ def _conditional_channels(cells: np.ndarray):
     return synd, np.ascontiguousarray(cond[..., list(CLASS_OF_LETTER)])
 
 
-def effective_channels(code: StabilizerCode, site_channels) -> EffectiveChannelSet:
-    """Syndrome-conditioned logical channels of a k = 1 code, grouped.
+def effective_channels(code: StabilizerCode, ch: PauliChannel) -> EffectiveChannelSet:
+    """Syndrome-conditioned logical channels of a k = 1 code with ``ch`` on
+    every qubit, grouped, by the Walsh engine of every stack layer.
 
     Syndromes whose conditional (I, X, Y, Z) vectors, reduced modulo the
     four logical translations (which downstream entropies cannot see),
@@ -198,9 +200,8 @@ def effective_channels(code: StabilizerCode, site_channels) -> EffectiveChannelS
     """
     if code.k != 1:
         raise ValueError(f"effective_channels needs k=1, got k={code.k}")
-    table = coset_distribution(code, site_channels)
-    synd, cond = _conditional_channels(table.probs[None, :, :])
-    return _merge_entries(synd[0], cond[0])
+    entries = EffectiveChannelSet(np.ones(1), ch.as_array()[None, :])
+    return _layer_effective_set(code, entries, raw=False)
 
 
 def _orbit_table(layer: StabilizerCode, n_entries: int) -> tuple[np.ndarray, np.ndarray]:

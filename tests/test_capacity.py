@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,26 @@ def test_threshold_bracketing_certificate():
 def test_threshold_evaluation_count():
     res = threshold(parse_stack_spec("repZ(5)"), DEPOL)
     assert res.evals <= 15
+
+
+@pytest.mark.parametrize("spec,family", [("5qubit", DEPOL), ("repZ(5)", DEPOL),
+                                         ("repX(3) x repZ(5)", INDXZ)])
+def test_threshold_below_double_spacing_ends_on_adjacent_doubles(spec, family):
+    # a bracket of doubles cannot get narrower than their spacing; this
+    # once looped forever
+    res = threshold(parse_stack_spec(spec), family, tol=1e-300)
+    lo, hi = res.bracket
+    assert math.nextafter(lo, hi) == hi
+    assert res.evals <= 70
+
+
+@pytest.mark.parametrize("family,p_star", [
+    (DEPOL, "0x1.027184eba33f4p-4"), (INDXZ, "0x1.c2ac93f4e0066p-4"),
+    (TWOP, "0x1.d115b67b6f004p-4")])
+def test_threshold_at_default_tol_unchanged_by_adjacent_stop(family, p_star):
+    # the hashing threshold of the empty stack, a pure-Python solve, bit for
+    # bit as before the solver stopped at adjacent doubles
+    assert threshold(parse_stack_spec(""), family).p_star == float.fromhex(p_star)
 
 
 def test_threshold_tol_refinement_stable():

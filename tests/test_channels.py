@@ -90,12 +90,14 @@ def test_custom_rejects_bad_sum():
         ChannelFamily("custom", (0.4, 0.4, 0.1))
     with pytest.raises(ValueError):
         ChannelFamily("custom", (0.5, 0.5, 0.00001))  # below coefficient floor
-    # printed-precision triple accepted only through explicit renormalization
+    # printed-precision triple accepted only through custom_family's rescaling
     rounded = (0.02058418, 0.0205851, 0.95883071)
     with pytest.raises(ValueError):
         ChannelFamily("custom", rounded)
-    fam = custom_family(*rounded, renormalize=True)
+    fam = custom_family(*rounded)
     assert sum(fam.coefficients) == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ValueError):  # too far from normalized to rescale
+        custom_family(0.4, 0.4, 0.1)
 
 
 def test_parse_channel_spec():
@@ -142,19 +144,19 @@ def test_bracketed_root_certificate(f, lo, hi):
         values[x] = f(x)
         return values[x]
 
-    a, b, evals = bracketed_root(g, lo, hi, ROOT_TOL)
-    assert evals == len(values)
+    a, b, evals = bracketed_root(g, lo, hi, ROOT_TOL, g(lo), g(hi))
+    assert evals + 2 == len(values)
     assert 0.0 < b - a <= ROOT_TOL
     assert a in values and b in values  # both ends were evaluated
     assert values[a] < 0.0 <= values[b]
 
 
 def test_bracketed_root_falls_back_to_bisection_at_a_kink():
-    # interpolation overshoots a kinked root on every other step (57
-    # evaluations without the fallback); bisection alone takes 2 + 40, and
-    # the two overshoots that trigger the fallback cost 2 more
-    _, _, evals = bracketed_root(_kinked, 0.0, 1.0, ROOT_TOL)
-    assert evals <= 44
+    # interpolation overshoots a kinked root on every other step (55
+    # evaluations without the fallback); bisection alone takes 40, and the
+    # two overshoots that trigger the fallback cost 2 more
+    _, _, evals = bracketed_root(_kinked, 0.0, 1.0, ROOT_TOL, _kinked(0.0), _kinked(1.0))
+    assert evals <= 42
 
 
 def test_bracketed_root_reuses_endpoint_values():
@@ -172,9 +174,9 @@ def test_bracketed_root_reuses_endpoint_values():
 
 def test_bracketed_root_rejects_unbracketed():
     with pytest.raises(ValueError):
-        bracketed_root(lambda x: x + 1.0, 0.0, 1.0, ROOT_TOL)
+        bracketed_root(lambda x: x + 1.0, 0.0, 1.0, ROOT_TOL, 1.0, 2.0)
     with pytest.raises(ValueError):  # f(lo) = 0 is not below zero
-        bracketed_root(lambda x: x, 0.0, 1.0, ROOT_TOL)
+        bracketed_root(lambda x: x, 0.0, 1.0, ROOT_TOL, 0.0, 1.0)
 
 
 def test_entropy_peak_named_families():
@@ -189,7 +191,7 @@ def test_custom_entropy_peak_vs_grid(weights):
     """Closed-form peak against a dense-grid argmax, on floored triples."""
     w = np.asarray(weights) + 1e-9
     c = 0.0001 + (1.0 - 0.0003) * w / w.sum()
-    fam = custom_family(*c, renormalize=True)
+    fam = custom_family(*c)
     c = np.asarray(fam.coefficients)
     step = 1e-5
     ps = np.arange(step, 1.0, step)
@@ -205,7 +207,7 @@ def _custom_triples(count=50, seed=5):
     triples = [(0.9998, 1e-4, 1e-4)]
     for w in rng.dirichlet([0.5, 0.5, 0.5], size=count - 1):
         triples.append(tuple(0.0001 + (1.0 - 0.0003) * w))
-    return [custom_family(*c, renormalize=True) for c in triples]
+    return [custom_family(*c) for c in triples]
 
 
 _ORACLE_FAMILIES = {"depolarizing": (oracle.depolarizing, 0.25),

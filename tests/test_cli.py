@@ -33,6 +33,10 @@ def test_codes_list_and_show(capsys):
 def test_rate_trivial(capsys):
     assert run(["rate", "--code", "", "--channel", "depol", "--p", "0"]) == EXIT_OK
     assert float(capsys.readouterr().out.strip()) == 1.0
+    assert run(["rate", "--code", "", "--channel", "depol", "--p", "0",
+                "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "stack": "", "channel": "depol", "p": 0.0, "rate": 1.0}
 
 
 def test_threshold_output(capsys):
@@ -44,6 +48,16 @@ def test_threshold_output(capsys):
     assert payload["method"] == "grouped"
     assert payload["tol"] == DEFAULT_TOL  # the library's default
     assert 0 < payload["evals"] <= 15
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_threshold_tol_must_be_finite_and_positive(tol, capsys):
+    # a bracket cannot shrink below tol = 0 or -1; nan and inf once
+    # returned the midpoint of the whole bracket
+    assert run(["threshold", "--code", "5qubit", "--channel", "depol",
+                "--tol", tol]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite and positive" in captured.err
 
 
 def test_unknown_code_is_validation_error(capsys):
@@ -122,6 +136,13 @@ def test_sweep_csv_roundtrip(tmp_path, capsys):
     assert len(first.splitlines()) == 5
     assert run(argv) == EXIT_OK
     assert out.read_text() == first  # byte-stable
+    # the same rows as JSON, to stdout
+    assert run(argv[:-4] + ["--format", "json"]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)
+    assert ",".join(rows[0]) == first.splitlines()[0]
+    for row, line in zip(rows, first.splitlines()[1:], strict=True):
+        p, s_rb, rr, method, _ = line.split(",")
+        assert list(row.values()) == [float(p), float(s_rb), float(rr), method, None]
 
 
 def test_longrep_row(capsys):
@@ -134,11 +155,20 @@ def test_longrep_row(capsys):
     from cosetcap import ChannelFamily, family_eval, s_rb_rep
     want = s_rb_rep(3, 4, family_eval(ChannelFamily("depolarizing"), 0.06))
     assert float(s_rb) == pytest.approx(want, abs=1e-12)
+    assert run(["longrep", "--inner", "3", "--outer", "4", "--channel", "depol",
+                "--range", "0.05:0.07:3"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    p_grid = [float(line.split(",")[0]) for line in lines[1:]]
+    assert p_grid == pytest.approx([0.05, 0.06, 0.07])
+    assert float(lines[2].split(",")[1]) == pytest.approx(want, abs=1e-12)
 
 
 def test_longrep_needs_p_or_range(capsys):
     assert run(["longrep", "--inner", "3", "--outer", "4",
                 "--channel", "depol"]) == EXIT_VALIDATION
+    assert run(["longrep", "--inner", "3", "--outer", "4", "--channel", "depol",
+                "--range", "1:2"]) == EXIT_VALIDATION
+    assert "range must be a:b:steps" in capsys.readouterr().err
 
 
 def test_optimize_json(capsys):
@@ -158,13 +188,26 @@ def test_optimize_defaults_are_the_library_defaults(capsys):
     assert payload["restarts"] == DEFAULT_RESTARTS and payload["seed"] == 0
 
 
-def test_tables_runner_table10(capsys):
-    code = run(["tables", "--name", "table10", "--tol", "1e-4"])
+@pytest.mark.parametrize("restarts", ["0", "-3"])
+def test_optimize_needs_a_restart(restarts, capsys):
+    assert run(["optimize", "--code", "repZ(3)", "--restarts", restarts]) \
+        == EXIT_VALIDATION
+    assert "at least one restart" in capsys.readouterr().err
+
+
+# result lines per manifest: hashing (table1), threshold (tables 6, 7, 9)
+# and optimum_eval cells (table10, two lines each)
+_TABLE_LINES = {"table1": 18, "table6": 16, "table7": 18, "table9": 16, "table10": 34}
+
+
+@pytest.mark.parametrize("name", list(_TABLE_LINES))
+def test_tables_runner(name, capsys):
+    cells = _TABLE_LINES[name]
+    code = run(["tables", "--name", name])
     out = capsys.readouterr().out
     assert code == EXIT_OK
-    assert "34/34 cells PASS" in out
     # the table's seconds follow its summary
-    assert re.search(r"34/34 cells PASS\ntable10: \d+\.\d\d s\n", out)
+    assert re.search(rf"\n{cells}/{cells} cells PASS\n{name}: \d+\.\d\d s\n", out)
 
 
 def test_tables_runner_reports_fail(capsys):

@@ -121,7 +121,7 @@ def test_engine_matches_oracle_on_erratum_cells(name, cell):
     if cell["kind"] == "hashing":
         got = hashing_point(parse_channel_spec(cell["channel"]))
     elif cell["kind"] == "optimum_eval":
-        got = hashing_point(custom_family(*cell["coefficients"], renormalize=True))
+        got = hashing_point(custom_family(*cell["coefficients"]))
     else:
         got = threshold(parse_stack_spec(cell["stack"]),
                         parse_channel_spec(cell["channel"])).p_star

@@ -49,6 +49,12 @@ def test_optimum_q_symmetric_under_xz_coefficient_swap():
     assert a.non_additivity == pytest.approx(b.non_additivity, abs=1e-6)
 
 
+@pytest.mark.parametrize("restarts", [0, -3])
+def test_optimize_needs_a_restart(restarts):
+    with pytest.raises(ValueError, match="at least one restart"):
+        optimize_channel(parse_stack_spec("repZ(3)"), restarts=restarts)
+
+
 def test_optimizer_trace_and_determinism():
     res1 = optimize_channel(parse_stack_spec("repZ(3)"), restarts=4, seed=2)
     res2 = optimize_channel(parse_stack_spec("repZ(3)"), restarts=4, seed=2)

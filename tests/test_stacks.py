@@ -54,7 +54,7 @@ def test_inner_layers_must_be_k1():
 
 
 def test_effective_channels_rep3_groups():
-    es = effective_channels(registry_get("repZ(3)"), [CH06] * 3)
+    es = effective_channels(registry_get("repZ(3)"), CH06)
     es.check_invariants()
     assert len(es.weights) == 2
     # trivial syndrome = X-support empty or full; the three nontrivial
@@ -64,14 +64,14 @@ def test_effective_channels_rep3_groups():
 
 
 def test_effective_channels_noiseless():
-    es = effective_channels(registry_get("repZ(3)"), [PauliChannel(1, 0, 0, 0)] * 3)
+    es = effective_channels(registry_get("repZ(3)"), PauliChannel(1, 0, 0, 0))
     assert len(es.weights) == 1
     assert es.weights[0] == pytest.approx(1.0)
     assert es.channels[0] == pytest.approx([1, 0, 0, 0])
 
 
 def test_effective_channels_five_qubit_structure():
-    es = effective_channels(registry_get("5qubit"), [CH06] * 5)
+    es = effective_channels(registry_get("5qubit"), CH06)
     es.check_invariants()
     # 16 syndromes collapse to the trivial one plus one equivalence class
     assert len(es.weights) == 2
@@ -85,14 +85,14 @@ def test_effective_channels_drop_round_off_syndromes(name, count):
     # engine leaves round-off (~1e-17) on the others, which must not become
     # entries of their own
     code = registry_get(name)
-    es = effective_channels(code, [PauliChannel(0.9, 0.1, 0.0, 0.0)] * code.n)
+    es = effective_channels(code, PauliChannel(0.9, 0.1, 0.0, 0.0))
     assert len(es.weights) == count
     es.check_invariants()
 
 
 def test_effective_channels_requires_k1():
     with pytest.raises(ValueError):
-        effective_channels(registry_get("422"), [CH06] * 4)
+        effective_channels(registry_get("422"), CH06)
 
 
 @pytest.mark.parametrize("spec", [s for s in ORACLE_SPECS if "toric" not in s])
@@ -143,7 +143,7 @@ def test_repetition_layer_from_a_code_file_takes_the_multiset_path(tmp_path, mon
     path.write_text("name chain5\nnk 5 1\nG ZZIII\nG IZZII\nG IIZZI\nG IIIZZ\n"
                     "LX XXXXX\nLZ ZIIII\n")
     stack = parse_stack_spec(f"repX(3) x {path}")
-    assert len(effective_channels(stack.layers[0], [CH06] * 3).weights) == 2
+    assert len(effective_channels(stack.layers[0], CH06).weights) == 2
     monkeypatch.setattr(rep, "ASSIGNMENT_BUDGET", 20)
     got = s_rb_stack_exact(stack, CH06)
     assert got == pytest.approx(gather_s_rb(compose_stack(stack), CH06), abs=1e-9)
@@ -376,7 +376,7 @@ def test_closed_form_entries_match_walsh_entries(typ):
     for n in range(2, 14):
         code = make_repetition_code(n, typ)
         for ch in channels:
-            walsh = effective_channels(code, [ch] * n)
+            walsh = effective_channels(code, ch)
             closed = stacks._merge_entries(*rep.block_entries(n, typ, ch))
             assert closed.weights.size <= walsh.weights.size
             if closed.weights.size < walsh.weights.size:
@@ -419,7 +419,7 @@ def test_closed_form_innermost_layer_matches_the_walsh_path():
     ch = family_eval(DEPOL, 1e-3)
     stack = parse_stack_spec("repZ(7) x 5qubit")
     inner, top = stack.layers
-    entries = effective_channels(inner, [ch] * inner.n)
+    entries = effective_channels(inner, ch)
     want = sum(float(np.exp(logw) @ batched_s_rb(_cells(top, spec)))
                for logw, spec in stacks._layer_batches(top, entries))
     assert s_rb_stack_exact(stack, ch) == pytest.approx(want, abs=1e-12)
