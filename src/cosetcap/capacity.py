@@ -161,7 +161,8 @@ def threshold(stack: CodeStack, family: ChannelFamily, tol: float = DEFAULT_TOL,
     threshold's standard error through the local slope.  ``evals`` counts
     every S_RB evaluation made, the two bracket ends and, for Monte Carlo,
     the three error-bar evaluations included.  ``tol`` must be finite and
-    positive; below the spacing of doubles the bracket ends adjacent.
+    positive; below the spacing of doubles the bracket ends adjacent, and
+    the reported ``tol`` is the final bracket's width where that is larger.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"threshold tolerance must be finite and positive, got {tol!r}")
@@ -204,7 +205,8 @@ def threshold(stack: CodeStack, family: ChannelFamily, tol: float = DEFAULT_TOL,
               "longrep" if "longrep" in methods else
               "exact" if methods == {"exact"} else "grouped")
     return ThresholdResult(stack.spec(), family.spec(), p_star, method,
-                           eff_tol, (lo, hi), std_error=std_error, evals=evals)
+                           max(eff_tol, hi - lo), (lo, hi), std_error=std_error,
+                           evals=evals)
 
 
 @dataclass(frozen=True)

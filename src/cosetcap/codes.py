@@ -317,7 +317,8 @@ def site_automorphisms(code: StabilizerCode) -> tuple[tuple[int, ...], ...]:
         return _mix(sites + _mix(rows[:, None] ^ _LETTER_KEYS).ravel()[by_row].sum(axis=0)), rows
 
     def split(colouring):
-        return tuple(np.unique(c).size for c in colouring)
+        # distinct colours, less one; a bare np.unique would import numpy.ma
+        return tuple(np.count_nonzero(np.diff(np.sort(c))) for c in colouring)
 
     # levels[t]: the base's stable colouring with base[:t] individualised,
     # as (refinement rounds, site colours, sorted site colours, sorted row
@@ -368,6 +369,35 @@ def site_automorphisms(code: StabilizerCode) -> tuple[tuple[int, ...], ...]:
                     gens.append(found)
                     orbit = _orbit(base[t], gens)
     return tuple(gens)
+
+
+@functools.lru_cache(maxsize=64)
+def automorphism_group(code: StabilizerCode) -> np.ndarray:
+    """Every element of the group ``site_automorphisms`` generates, as a
+    read-only (|G|, n) array of permutations in lexicographic order, the
+    identity first.
+
+    Grown from the identity: each round composes the elements the last
+    round found with every generator at once and keeps the images whose
+    mixed-radix key (Python integers where n^n passes int64) is new.  Lists
+    the whole group: repetition codes' groups are symmetric groups.
+    """
+    n = code.n
+    gens = np.array(site_automorphisms(code), dtype=np.intp).reshape(-1, n)
+    place = np.array([n ** i for i in range(n - 1, -1, -1)],
+                     dtype=np.int64 if n ** n <= 1 << 63 else object)
+    group = frontier = np.arange(n)[None, :]
+    keys = frontier @ place
+    while frontier.shape[0]:
+        images = gens[:, frontier].reshape(-1, n)  # generator after element
+        image_keys, first = np.unique(images @ place, return_index=True)
+        new = ~np.isin(image_keys, keys, assume_unique=True)
+        frontier = images[first[new]]
+        keys = np.concatenate([keys, image_keys[new]])
+        group = np.vstack([group, frontier])
+    group = group[np.argsort(keys)]
+    group.flags.writeable = False
+    return group
 
 
 def trivial_code() -> StabilizerCode:

@@ -31,7 +31,8 @@ spectra is built once per layer from the code's character table; each
 orbit representative multiplies a product of its first sites' rows with
 one row of a block holding the products of every combination of its last
 sites.  Sampled blocks are rows of indices into a table of distinct
-channels; each distinct row is evaluated once, in blocks of rows by
+channels; each distinct middle-layer row, and each orbit of top rows under
+the top's site automorphisms, is evaluated once, in blocks of rows by
 per-site matmuls.
 """
 
@@ -44,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import PauliChannel, channel_entropy
-from .codes import (StabilizerCode, registry_get, rep_type_of, site_automorphisms,
-                    validate_code)
+from .codes import (StabilizerCode, automorphism_group, registry_get, rep_type_of,
+                    site_automorphisms, validate_code)
 from .exact import (CLASS_OF_LETTER, ROUND_OFF, _batched_cells, _cells, _site_signs,
                     batched_s_rb)
 from .pauli import PauliString, pauli_mul
@@ -388,7 +389,9 @@ def _distinct_rows(rows: np.ndarray, radix: int) -> tuple[np.ndarray, np.ndarray
 
     The columns fold into one int64 key per row in mixed radix.  Before the
     key could pass 2^62 it is replaced by its rank among the distinct keys
-    so far, which keeps their order, so R * radix <= 2^62 suffices.
+    so far, which keeps their order, so R * radix <= 2^62 suffices.  Keys
+    are ranked by sorting, or by marking where their range is no wider
+    than R, which is linear.
     """
     key = np.zeros(rows.shape[0], dtype=np.int64)
     bound = 1
@@ -398,10 +401,16 @@ def _distinct_rows(rows: np.ndarray, radix: int) -> tuple[np.ndarray, np.ndarray
             bound = int(key.max()) + 1
         key = key * radix + col
         bound *= radix
-    key, inverse = np.unique(key, return_inverse=True)
-    distinct = np.empty((key.size, rows.shape[1]), dtype=rows.dtype)
-    distinct[inverse] = rows
-    return distinct, inverse
+    if bound <= rows.shape[0]:
+        seen = np.zeros(bound, dtype=bool)
+        seen[key] = True
+        count, inverse = np.count_nonzero(seen), (np.cumsum(seen) - 1)[key]
+    else:
+        key, inverse = np.unique(key, return_inverse=True)
+        count = key.size
+    at = np.empty(count, dtype=np.intp)
+    at[inverse] = np.arange(rows.shape[0])  # any one row of each key
+    return rows[at], inverse
 
 
 def _sample_syndromes(layer: StabilizerCode, table: np.ndarray, rows: np.ndarray,
@@ -437,13 +446,55 @@ def _sample_syndromes(layer: StabilizerCode, table: np.ndarray, rows: np.ndarray
     return np.concatenate(chans), index
 
 
+def _canonical_rows(rows: np.ndarray, group: np.ndarray, radix: int) -> np.ndarray:
+    """The lexicographically least image of each row of indices below
+    ``radix`` under the site permutations ``group`` (|G|, n), which move the
+    index on site i to site perm[i].
+
+    An image's sites fold in mixed radix into as many int64 words as fit:
+    word w of the image of the rows under perm is ``rows @ place[w][perm]``.
+    The least image is found word by word among the permutations still
+    tied on the earlier words; mostly one word does.  Keys are formed in
+    blocks of rows of at most ``_CHUNK_ELEMS`` (row, perm) pairs.
+    """
+    n = rows.shape[1]
+    width = 1
+    while width < n and radix ** (width + 1) <= 1 << 63:
+        width += 1
+    site = np.arange(n)
+    place = np.where(site // width == np.arange(-(-n // width))[:, None],
+                     radix ** (width - 1 - site % width), 0)  # (words, n)
+    weights = place[:, group].transpose(0, 2, 1)  # (words, n, |G|)
+    best = np.empty(rows.shape[0], dtype=np.intp)
+    step = max(1, _CHUNK_ELEMS // group.shape[0])
+    for start in range(0, rows.shape[0], step):
+        block = rows[start:start + step]
+        keys = block @ weights[0]
+        alive = keys == keys.min(axis=1, keepdims=True)
+        for w in weights[1:]:
+            keys = np.where(alive, block @ w, np.iinfo(np.int64).max)
+            alive &= keys == keys.min(axis=1, keepdims=True)
+        best[start:start + step] = alive.argmax(axis=1)
+    canon = np.empty_like(rows)
+    np.put_along_axis(canon, group[best], rows, axis=1)
+    return canon
+
+
 def _top_values(top: StabilizerCode, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """S_RB of ``top`` for each row of indices into the site channels
-    ``table``, evaluated once per distinct row.  A repetition top's rows
-    are sorted first: every site permutation fixes its S_RB."""
+    ``table``, evaluated once per orbit of its site automorphisms, at the
+    least row of the orbit (``_canonical_rows``): rows of an orbit share
+    their S_RB up to rounding.  A repetition top's group is every site
+    permutation, too large to list, and sorting is its canonical form."""
     if rep_type_of(top) is not None:
-        rows = np.sort(rows, axis=1)
-    uniq, inv = _distinct_rows(rows, table.shape[0])
+        uniq, inv = _distinct_rows(np.sort(rows, axis=1), table.shape[0])
+    else:
+        uniq, inv = _distinct_rows(rows, table.shape[0])
+        group = automorphism_group(top)
+        if group.shape[0] > 1:
+            uniq, orbit = _distinct_rows(_canonical_rows(uniq, group, table.shape[0]),
+                                         table.shape[0])
+            inv = orbit[inv]
     vals = np.empty(uniq.shape[0])
     for blk in _row_blocks(top, uniq.shape[0]):
         vals[blk] = batched_s_rb(_batched_cells(top, table[uniq[blk]]))
@@ -468,10 +519,11 @@ def s_rb_stack_mc(stack: CodeStack, ch: PauliChannel, samples: int = 100_000,
 
     A sampled block is a row of indices into a small table of distinct
     channels: the innermost entries, then each middle layer's distinct
-    (row, syndrome) pairs.  Each sampled layer runs the Walsh engine once
-    per distinct row of a chunk, at most min(rows, E^n) for E table
-    entries, and gathers the results back to the samples; a repetition
-    top sorts its rows first.  Rows are evaluated in blocks of at most
+    (row, syndrome) pairs.  Each middle layer runs the Walsh engine once
+    per distinct row of a chunk, and the top once per orbit of its rows
+    under its site automorphisms (``_top_values``), at most the number of
+    orbits of the E^n assignments of E table entries; the results are
+    gathered back to the samples.  Rows are evaluated in blocks of at most
     ``_CHUNK_ELEMS`` spectrum elements, which bound the memory of a chunk.
     Sampling uses a counter-based Philox generator keyed by (seed, chunk
     index), chunks of ``_MC_CHUNK`` samples, so results are reproducible

@@ -93,6 +93,17 @@ def test_threshold_at_default_tol_unchanged_by_adjacent_stop(family, p_star):
     assert threshold(parse_stack_spec(""), family).p_star == float.fromhex(p_star)
 
 
+@pytest.mark.parametrize("spec", ["", "5qubit", "repZ(5)"])
+def test_threshold_reports_the_bracket_it_reached(spec):
+    # below the spacing of doubles the reported tol is the final bracket's
+    # width, not the tol asked for; at the default tol it is the default
+    stack = parse_stack_spec(spec)
+    res = threshold(stack, DEPOL, tol=1e-300)
+    lo, hi = res.bracket
+    assert res.tol == hi - lo and 1e-18 < res.tol < 1e-16
+    assert threshold(stack, DEPOL).tol == 1e-10
+
+
 def test_threshold_tol_refinement_stable():
     stack = parse_stack_spec("repZ(3)")
     a = threshold(stack, DEPOL, tol=1e-10)

@@ -60,6 +60,19 @@ def test_threshold_tol_must_be_finite_and_positive(tol, capsys):
     assert captured.out == "" and "finite and positive" in captured.err
 
 
+def test_threshold_reports_the_bracket_it_reached(capsys):
+    # --tol below the spacing of doubles stops at adjacent doubles, and
+    # the error bar printed is that bracket's width (~1.4e-17), not 1e-300
+    args = ["threshold", "--code", "5qubit", "--channel", "depol", "--tol", "1e-300"]
+    assert run([*args, "--format", "json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert 1e-18 < payload["tol"] < 1e-16
+    assert run(args) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith(f"{payload['threshold']:.11f} +- {payload['tol']:.0e}")
+    assert "e-300" not in out
+
+
 def test_unknown_code_is_validation_error(capsys):
     assert run(["threshold", "--code", "nosuchcode", "--channel", "depol"]) \
         == EXIT_VALIDATION

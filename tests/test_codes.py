@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from cosetcap import (PauliString, anticommutes, classify,
                       make_repetition_code, parse_code, pauli_mul, registry_get,
                       registry_names, serialize_code, trivial_code)
-from cosetcap.codes import (CodeValidationError, _symplectic_basis, _symplectic_rank,
-                            rep_type_of, site_automorphisms)
+from cosetcap.codes import (CodeValidationError, _is_automorphism, _symplectic_basis,
+                            _symplectic_rank, automorphism_group, rep_type_of,
+                            site_automorphisms)
 
 P = PauliString.from_text
 
@@ -248,3 +250,28 @@ def test_site_automorphism_group_matches_brute_force(name):
 def test_site_automorphism_group_orders(name, order):
     code = registry_get(name)
     assert len(_closure(site_automorphisms(code), code.n)) == order
+
+
+# group orders of the bundled codes other than the repetition codes, whose
+# groups are the symmetric groups
+GROUP_ORDERS = {"shor": 1296, "steane": 168, "13cyclic": 26, "cdSteaneH": 24,
+                "toric822": 16, "tailored713H": 14, "5qubit": 10, "biased9": 8,
+                "biased13": 6, "422": 4, "613H": 4, "scfH": 4, "11qubit": 1}
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_automorphism_group_lists_the_whole_group(name):
+    code = registry_get(name)
+    n = code.n
+    group = automorphism_group(code)
+    order = math.factorial(n) if rep_type_of(code) else GROUP_ORDERS[name]
+    assert group.shape == (order, n) and not group.flags.writeable
+    assert np.array_equal(group[0], np.arange(n))  # the identity, listed first
+    place = n ** np.arange(n - 1, -1, -1)
+    keys = group @ place
+    assert np.all(np.diff(keys) > 0)  # distinct, in lexicographic order
+    # closed: every g o h is listed (n! distinct permutations are all of them)
+    for start in range(0, order if rep_type_of(code) is None else 0, 256):
+        products = group[start:start + 256][:, group]
+        assert np.isin(products @ place, keys).all()
+    assert all(_is_automorphism(code, tuple(int(i) for i in perm)) for perm in group)

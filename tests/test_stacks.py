@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -9,12 +10,13 @@ from cosetcap import (ChannelFamily, CodeStack, MonteCarlo, PauliChannel,
                       make_repetition_code, parse_code, parse_stack_spec,
                       registry_get, s_rb_code, s_rb_stack_exact, s_rb_stack_mc)
 from cosetcap import capacity, rep, stacks
-from cosetcap.codes import StabilizerCode, serialize_code, site_automorphisms
+from cosetcap.codes import (StabilizerCode, automorphism_group, serialize_code,
+                            site_automorphisms)
 from cosetcap.exact import (_E4, _WHT_BLOCK, _cells, _character_table, _inverse_wht,
                             batched_s_rb)
 from cosetcap.longrep import s_rb_estimate_atoms
 from cosetcap.pauli import PauliString
-from cosetcap.stacks import StackBudgetError, _orbit_table
+from cosetcap.stacks import StackBudgetError, _canonical_rows, _orbit_labels, _orbit_table
 from mc_reference import s_rb_stack_mc_rows
 from xor_reference import gather_s_rb, letter_masks
 
@@ -222,14 +224,15 @@ def test_mc_needs_a_positive_sample_count(samples):
         capacity.evaluate_s_rb(CodeStack(stack.layers, MonteCarlo(samples=samples)), CH06)
 
 
-@pytest.mark.parametrize("seed", [7, 11])
-@pytest.mark.parametrize("p", [0.02, 0.0635])
-@pytest.mark.parametrize("spec", ["repZ(5) x biased9", "repX(3) x 5qubit x repZ(3)",
-                                  "repZ(15) x 5qubit x repZ(3)", "5qubit x 5qubit",
-                                  "repZ(3) x steane"])
+@pytest.mark.parametrize("spec,p,seed", [
+    *itertools.product(["repZ(5) x biased9", "repX(3) x 5qubit x repZ(3)",
+                        "repZ(15) x 5qubit x repZ(3)", "5qubit x 5qubit",
+                        "repZ(3) x steane"], [0.02, 0.0635], [7, 11]),
+    # 512 entries on the 9 top sites: canonical keys take two int64 words
+    ("repZ(3) x 5qubit x biased9", 0.0635, 7)])
 def test_mc_matches_row_by_row_sampler(spec, p, seed):
-    # same draws, each distinct row evaluated once: equal up to summation
-    # order; 45,000 samples span three Philox chunks
+    # same draws, each distinct middle row and each top orbit evaluated
+    # once: equal up to rounding; 45,000 samples span three Philox chunks
     stack, ch = parse_stack_spec(spec), family_eval(DEPOL, p)
     est, se = s_rb_stack_mc(stack, ch, samples=45_000, seed=seed)
     ref_est, ref_se = s_rb_stack_mc_rows(stack, ch, samples=45_000, seed=seed)
@@ -249,8 +252,10 @@ def test_mc_evaluates_each_distinct_row_once(monkeypatch):
     # c4: 3 innermost entries on the 5 sites of 5qubit, 100,000 sampled rows
     s_rb_stack_mc(parse_stack_spec("repX(5) x 5qubit x repZ(5)"), ch, samples=20_000)
     assert 0 < rows["5qubit"] <= 3 ** 5
+    # a non-repetition top: one row per orbit of its 8 site automorphisms,
+    # no more than the exact path's 2,862 orbits of the 3^9 assignments
     s_rb_stack_mc(parse_stack_spec("repZ(5) x biased9"), ch, samples=20_000)
-    assert 0 < rows["biased9"] < 20_000
+    assert 0 < rows["biased9"] <= _orbit_labels(registry_get("biased9"), 3)[0].size == 2862
 
 
 def test_distinct_rows_past_the_key_range():
@@ -264,6 +269,57 @@ def test_distinct_rows_past_the_key_range():
     ref, ref_inverse = np.unique(rows, axis=0, return_inverse=True)
     assert np.array_equal(distinct, ref) and np.array_equal(inverse, ref_inverse.ravel())
     assert distinct.shape[0] < 400
+
+
+def test_distinct_rows_count_where_keys_are_few():
+    # 3^5 = 243 keys on 1,000 rows are ranked by marking, not sorting
+    rows = np.random.default_rng(6).integers(0, 3, size=(1000, 5))
+    distinct, inverse = stacks._distinct_rows(rows, 3)
+    ref, ref_inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert np.array_equal(distinct, ref) and np.array_equal(inverse, ref_inverse.ravel())
+
+
+def _least_images(rows, group):
+    """Reference: the least image of each row over every permutation, as
+    Python tuples."""
+    least = []
+    for row in rows.tolist():
+        images = []
+        for perm in group.tolist():
+            image = [0] * len(perm)
+            for i, j in enumerate(perm):
+                image[j] = row[i]
+            images.append(tuple(image))
+        least.append(min(images))
+    return np.array(least, dtype=rows.dtype)
+
+
+@pytest.mark.parametrize("name,radix", [("5qubit", 3), ("steane", 4), ("toric822", 2),
+                                        ("biased9", 509), ("shor", 2)])
+def test_canonical_rows_pick_one_row_per_orbit(name, radix):
+    group = automorphism_group(registry_get(name))
+    rows = np.random.default_rng(radix).integers(0, radix, size=(60, group.shape[1]))
+    canon = _canonical_rows(rows, group, radix)
+    assert np.array_equal(canon, _least_images(rows, group))  # in the row's orbit
+    assert np.array_equal(_canonical_rows(canon, group, radix), canon)  # idempotent
+    for perm in group[::max(1, group.shape[0] // 16)]:
+        image = np.empty_like(rows)
+        image[:, perm] = rows
+        assert np.array_equal(_canonical_rows(image, group, radix), canon)
+
+
+def test_canonical_rows_past_the_key_range(monkeypatch):
+    # radix 2^40 on the 5 sites of 5qubit: one site per int64 word, and rows
+    # built from few values near the top of the range tie on the first
+    # words, so later words decide; tiny key blocks cross block edges
+    monkeypatch.setattr(stacks, "_CHUNK_ELEMS", 30)
+    group = automorphism_group(registry_get("5qubit"))
+    rng = np.random.default_rng(7)
+    values = (1 << 40) - 1 - np.array([0, 1, 1 << 39])
+    rows = values[rng.integers(0, 3, size=(200, 5))]
+    canon = _canonical_rows(rows, group, 1 << 40)
+    assert np.array_equal(canon, _least_images(rows, group))
+    assert np.array_equal(_canonical_rows(canon, group, 1 << 40), canon)
 
 
 @pytest.mark.parametrize("name", ["5qubit", "422", "toric822", "biased9"])
