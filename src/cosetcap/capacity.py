@@ -4,10 +4,11 @@ families.
 The rate of a stack of total length l whose outermost layer carries k
 logical qubits is (k - S_RB) / l; the empty stack degenerates to the
 hashing rate 1 - H(channel).  A threshold is the noise parameter where the
-rate crosses zero, found by bracketed root (Chandrupatla) and certified by
-its final bracket.
+rate crosses zero, found by bracketed root (Chandrupatla) on S_RB - k and
+certified by its final bracket.
 
-Evaluation dispatch, in order, all in ``evaluate_s_rb``:
+Evaluation dispatch, in order, all in ``evaluate_s_rb``, which returns
+S_RB - k (``Evaluation.excess``):
   * empty stack                   -> channel entropy (method "exact")
   * Monte Carlo strategy          -> syndrome sampling (method "mc")
   * repetition top layer over any inner stack (``codes.rep_type_of``)
@@ -15,6 +16,8 @@ Evaluation dispatch, in order, all in ``evaluate_s_rb``:
     inner entries (``stacks.top_entries``, ``rep.top_atoms``), summed
     exactly over multisets of atoms (method "grouped") or by the long-rep
     estimator (method "longrep"), whichever costs less; both are exact
+    and return S_RB - 1 relatively accurate (1e-18 to 1e-30 near the
+    thresholds of long tops, below the rounding of S_RB itself)
   * anything else                 -> effective-channel composition
     (method "grouped"; "exact" for a single layer)
 
@@ -34,19 +37,19 @@ from .channels import (ChannelFamily, PauliChannel, bracketed_root, channel_entr
                        entropy_peak, family_eval, hashing_point)
 from .codes import rep_type_of
 from .exact import _batched_cells, batched_s_rb, s_rb_code
-from .longrep import SERIES_HEAD, estimate_nodes, s_rb_estimate_atoms
+from .longrep import ESTIMATE_NODES, s_rb_estimate_atoms
 from .rep import multiset_count, s_rb_atoms, top_atoms
 from .stacks import CodeStack, MonteCarlo, s_rb_stack_exact, s_rb_stack_mc, top_entries
 
 DEFAULT_TOL = 1e-10
 # cost of the atom engines in ns, scale x (overhead + atoms) per multiset of
-# the sum and per series term or quadrature node of the estimator; fitted
-# on one BLAS thread of a shared 2-core host, sum / estimator in ms at
-# depolarizing p = 0.0637: 7x12 2.3 / 2.8, 7x14 7.4 / 3.7, 5x20 2.9 / 3.7,
-# 5x23 6.3 / 3.8, 3x70 3.2 / 7.4, 3x110 14.3 / 8.1, 1x20000 0.9 / 348;
-# repX(3) x 5qubit x repZ(3) (56 atoms at p = 1e-3) 5.2 / 18.8
+# the sum and per node of the estimator (ESTIMATE_NODES); fitted on one
+# BLAS thread of a shared 2-core host, sum / estimator in ms (best of 31)
+# at depolarizing p = 0.0637: 7x12 2.2 / 2.4, 7x14 5.0 / 2.3, 5x20 1.9 /
+# 2.2, 5x23 4.4 / 2.0, 3x70 2.7 / 4.1, 3x110 10.3 / 4.2, 1x20000 1.5 / 1.8;
+# repX(3) x 5qubit x repZ(3) (56 atoms at p = 1e-3) 3.8 / 9.7
 _SUM_NS = (2.2, 20.0)
-_NODE_NS = (13.0, 8.0)
+_NODE_NS = (9.0, 20.0)
 
 
 class NoThresholdError(RuntimeError):
@@ -55,10 +58,17 @@ class NoThresholdError(RuntimeError):
 
 @dataclass(frozen=True)
 class Evaluation:
-    s_rb: float
+    """S_RB of a stack under one channel, carried as S_RB - k (k logical
+    qubits in the outermost layer), which the atom engines return."""
+    excess: float
+    k: int
     method: str
     std_error: float | None = None
     stable: bool = True  # always True; dropped with the benchmark's check of it
+
+    @property
+    def s_rb(self) -> float:
+        return self.k + self.excess
 
 
 def _atom_costs(m: int, atoms: int) -> tuple[float, float]:
@@ -73,29 +83,28 @@ def _evaluate_atoms(rows, m: int) -> Evaluation:
     multiset sum ("grouped") or the long-rep estimator ("longrep"),
     whichever costs less (``_SUM_NS``, ``_NODE_NS``)."""
     sum_ns, node_ns = _atom_costs(m, rows.shape[0])
-    # the estimator takes SERIES_HEAD nodes at least: a sum cheaper than
-    # that skips estimate_nodes, ~10 us against a 3x3 evaluation's ~60 us
-    if sum_ns <= SERIES_HEAD * node_ns or sum_ns <= estimate_nodes(rows, m) * node_ns:
-        return Evaluation(s_rb_atoms(rows, m), "grouped")
-    return Evaluation(s_rb_estimate_atoms(rows, m), "longrep")
+    if sum_ns <= ESTIMATE_NODES * node_ns:
+        return Evaluation(s_rb_atoms(rows, m), 1, "grouped")
+    return Evaluation(s_rb_estimate_atoms(rows, m), 1, "longrep")
 
 
 def evaluate_s_rb(stack: CodeStack, ch: PauliChannel) -> Evaluation:
     """S_RB of a stack under one channel, with automatic method choice."""
+    k = stack.k_outer
     if not stack.layers:
-        return Evaluation(channel_entropy(ch), "exact")
+        return Evaluation(channel_entropy(ch) - k, k, "exact")
     if isinstance(stack.strategy, MonteCarlo):
         mc = stack.strategy
         est, se = s_rb_stack_mc(stack, ch, samples=mc.samples, seed=mc.seed)
-        return Evaluation(est, "mc", std_error=se)
+        return Evaluation(est - k, k, "mc", std_error=se)
     top_type = rep_type_of(stack.layers[-1])
     if top_type is not None:
         entries = top_entries(stack, ch)
         rows = top_atoms(entries.weights, entries.channels, top_type)
         return _evaluate_atoms(rows, stack.layers[-1].n)
     if len(stack.layers) == 1:
-        return Evaluation(s_rb_code(stack.layers[0], ch), "exact")
-    return Evaluation(s_rb_stack_exact(stack, ch), "grouped")
+        return Evaluation(s_rb_code(stack.layers[0], ch) - k, k, "exact")
+    return Evaluation(s_rb_stack_exact(stack, ch) - k, k, "grouped")
 
 
 def evaluate_s_rb_batch(stack: CodeStack, chans: np.ndarray) -> np.ndarray:
@@ -115,9 +124,9 @@ def evaluate_s_rb_batch(stack: CodeStack, chans: np.ndarray) -> np.ndarray:
         # a row has at most two atoms, and the sum's cost grows faster with
         # atoms than a node's: chosen at two, it is chosen for every row
         sum_ns, node_ns = _atom_costs(top.n, 2)
-        if sum_ns <= SERIES_HEAD * node_ns:
+        if sum_ns <= ESTIMATE_NODES * node_ns:
             weights = np.ones((chans.shape[0], 1))
-            return s_rb_atoms(top_atoms(weights, chans[:, None, :], top_type), top.n)
+            return 1.0 + s_rb_atoms(top_atoms(weights, chans[:, None, :], top_type), top.n)
     return np.array([evaluate_s_rb(stack, PauliChannel(*row)).s_rb
                      for row in chans.tolist()])
 
@@ -128,8 +137,7 @@ def rate(stack: CodeStack, family: ChannelFamily, p: float) -> float:
 
 
 def rate_from_channel(stack: CodeStack, ch: PauliChannel) -> float:
-    ev = evaluate_s_rb(stack, ch)
-    return (stack.k_outer - ev.s_rb) / stack.total_length
+    return -evaluate_s_rb(stack, ch).excess / stack.total_length
 
 
 def nonadditivity(stack: CodeStack, family: ChannelFamily, p: float) -> float:
@@ -163,23 +171,30 @@ def threshold(stack: CodeStack, family: ChannelFamily, tol: float = DEFAULT_TOL,
     the three error-bar evaluations included.  ``tol`` must be finite and
     positive; below the spacing of doubles the bracket ends adjacent, and
     the reported ``tol`` is the final bracket's width where that is larger.
+    A repetition top whose S_RB - 1 underflows to 0 (past m ~ 4,000 near
+    the threshold) raises NoThresholdError rather than solve on zeros.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"threshold tolerance must be finite and positive, got {tol!r}")
-    target = float(stack.k_outer)
     if bracket is None:
         lo = 0.5 * hashing_point(family)
         hi = entropy_peak(family) if family.kind == "custom" else family.p_max() - 1e-9
     else:
         lo, hi = bracket
     is_mc = isinstance(stack.strategy, MonteCarlo)
+    # the atom engines' S_RB - 1 is relatively accurate: 0 is underflow
+    atoms = not is_mc and bool(stack.layers) and rep_type_of(stack.layers[-1]) is not None
 
     methods = set()
 
     def f(p: float) -> float:
         ev = evaluate_s_rb(stack, family_eval(family, p))
         methods.add(ev.method)
-        return ev.s_rb - target
+        if atoms and ev.excess == 0.0:
+            raise NoThresholdError(
+                f"S_RB - 1 underflows to 0 at p = {p:.6g}: its sign needs the "
+                "long-rep estimator in log form, which is not implemented")
+        return ev.excess
 
     f_lo, f_hi = f(lo), f(hi)
     if not (f_lo < 0.0 < f_hi):
@@ -197,7 +212,7 @@ def threshold(stack: CodeStack, family: ChannelFamily, tol: float = DEFAULT_TOL,
         delta = max(50.0 * eff_tol, 1e-5)
         ev_m = evaluate_s_rb(stack, family_eval(family, p_star - delta))
         ev_p = evaluate_s_rb(stack, family_eval(family, p_star + delta))
-        slope = (ev_p.s_rb - ev_m.s_rb) / (2.0 * delta)
+        slope = (ev_p.excess - ev_m.excess) / (2.0 * delta)
         ev_c = evaluate_s_rb(stack, family_eval(family, p_star))
         std_error = abs(ev_c.std_error / slope) if slope else math.inf
         evals += 3
@@ -229,7 +244,6 @@ def sweep(stack: CodeStack, family: ChannelFamily, p_range: tuple[float, float],
     for i in range(steps):
         p = lo + (hi - lo) * i / max(steps - 1, 1)
         ev = evaluate_s_rb(stack, family_eval(family, p))
-        rows.append(SweepRow(p, ev.s_rb,
-                             (stack.k_outer - ev.s_rb) / stack.total_length,
+        rows.append(SweepRow(p, ev.s_rb, -ev.excess / stack.total_length,
                              ev.method, ev.std_error))
     return rows

@@ -10,9 +10,11 @@ the coset entropies reduce to expectations of -ln(1 + prod q) and
 -ln(1 + prod r) over m independent per-block draws, and the m * E[-ln a]
 terms cancel in S_RB:
 
-    S_RB (bits) = 1 + (E[-ln(1 + prod q)] - E[-ln(1 + prod r)]) / ln 2.
+    S_RB - 1 (bits) = (E[-ln(1 + prod q)] - E[-ln(1 + prod r)]) / ln 2.
 
-Both run over the rows of the atom table, with their weight, |q| and r.
+Both are 1e-18 to 1e-30 near the thresholds of long tops, so the
+estimator returns S_RB - 1 itself.  Both run over the rows of the atom
+table, with their weight, |q| and r.
 
 q side, an exact moment series.  The letters A and B of an atom have
 opposite q and weights in the ratio (1 + |q|) : (1 - |q|), so given the
@@ -33,28 +35,26 @@ continuous j, the integral taken by composite Gauss-Legendre in
 u = ln(x / J).  The tail matters only when some |q| lies within ~1/J of 1
 (low noise, or short outer codes).  The q side is exact to rounding.
 
-r side, a characteristic-function quadrature.  The ratios are
-non-negative; an r = 0 atom zeroes the product, so with w0 the total
-weight of those atoms E[-ln(1 + prod r)] = -(1 - w0)^m E[ln(1 + e^X)],
-where X is the sum of m i.i.d. draws of Y = ln r over the live atoms
-(weights rescaled).  Since ln(1 + e^x) = x/2 + ln 2 + ln cosh(x/2) and
-the second derivative of ln cosh(x/2), (1/4) sech^2(x/2), has Fourier
-transform pi t / sinh(pi t),
+r side, a contour integral.  An r = 0 atom zeroes the product.  Over the
+live atoms let M(z) = sum w r^z, weights not rescaled, so that M(0)^m is
+the chance that no draw is dead.  Since int ln(1 + e^x) e^(-zx) dx =
+pi / (z sin pi z) for 0 < Re z < 1, on the line Re z = 1/2
 
-    E[ln(1 + e^X)] = m E[Y] / 2 + ln 2
-                     + int_0^inf (1 - Re phi(t)^m) / (t sinh(pi t)) dt,
+    E[-ln(1 + prod r)] = -int_0^inf Re[M(1/2 + it)^m / ((1/2 + it) cosh pi t)] dt.
 
-phi(t) = sum_i w_i e^(i t Y_i).  The identity is exact.  phi - 1 is
-summed as sum_i w_i (-2 sin^2(t Y_i / 2) + i sin(t Y_i)) and phi^m taken
-through a complex log1p, so the integrand keeps its digits as t -> 0.
-The kernel is below e^-43 at t = 14, where the integral is cut; it is
-taken by 32-point Gauss-Legendre panels, ceil(14 m max|Y| / 2 pi) + 8 of
-them (at least one per period of the fastest oscillation), evaluated in
-fixed-size node blocks.  Against the exact multiset sum the estimate
-agrees to ~3e-14 (m <= 12).  What is left is rounding of the phase
-m t Y and of the m E[Y] / 2 term the integral cancels, ~2.5e-15 m max|Y|
-in S_RB: 4x the panels moves it by ~1e-12 at m = 301 and by up to 6e-11
-at m = 2000, p = 1e-6.
+Each inner entry gives atoms (w a, r) and (w a', 1/r) with a r = a', so
+M(c) = M(1 - c): the line passes through the saddle point of M, and
+M(1/2 + it) = sum w sqrt(r) cos(t ln r) is real.  M(1/2 + it)^m has no
+phase growing with m, its lobe at t = 0 (width ~1/sqrt(m)) dominates,
+and the estimate is relatively accurate however small it is.  The
+integral, cut at t = 14 (1 / cosh pi t < e^-43), is taken in units of
+M(1/2)^m by a trapezoid rule from 256 intervals, doubled until two
+estimates agree to _R_RTOL of the integral of |integrand| (the estimate
+itself, but for small m over a few widely spaced ln r, whose lobes
+cancel); it raises past _R_INTERVALS[1].  It converges geometrically:
+512 to 2,048 intervals near the thresholds, 8,192 for a bare repZ(101)
+at depolarizing p = 1e-6.  Past m ~ 4,000 near a threshold M(1/2)^m and
+M_2^m underflow and both sides read 0: the log form is not implemented.
 """
 
 from __future__ import annotations
@@ -70,37 +70,25 @@ from .rep import block_entries, top_atoms
 
 SERIES_HEAD = 1 << 14  # J: moment-series terms summed directly
 _HEAD_CHUNK = 2048
-T_MAX = 14.0          # r-side cut: 1 / (t sinh(pi t)) < e^-43 beyond it
-_R_ORDER = 32         # Gauss-Legendre points per r-side panel
-_NODE_BLOCK = 4096    # r-side nodes evaluated together
+T_MAX = 14.0          # r-side cut
+_R_INTERVALS = (256, 1 << 16)  # r-side trapezoid: first and most intervals
+_R_RTOL = 1e-14       # r-side doubling stops where two estimates agree to this
+# nodes of one s_rb_estimate_atoms call, each evaluated once per atom: the
+# series head, _tail_rule and an r-side allowance (the trapezoid at 1,024)
+ESTIMATE_NODES = SERIES_HEAD + 80 * 24 + 1025
 
 
 @functools.cache
-def _unit_rule(order: int):
-    """Gauss-Legendre nodes and weights on [0, 1].  Built on first use: the
-    Legendre roots cost an eigensolve that imports should not pay."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def _panels(width: float, first: int, count: int, order: int):
-    """Composite Gauss-Legendre rule on panels first .. first+count-1 of
-    [0, inf) cut at multiples of ``width``."""
-    x, w = _unit_rule(order)
-    start = np.arange(first, first + count, dtype=float)[:, None]
-    return ((start + x) * width).ravel(), np.tile(width * w, count)
-
-
-def _r_panels(logr: np.ndarray, m: int) -> int:
-    """r-side panels: at least one per period of the fastest oscillation."""
-    return math.ceil(T_MAX * m * float(np.abs(logr).max()) / (2.0 * math.pi)) + 8
-
-
 def _tail_rule():
     """Nodes and weights in u = ln(x / J) on [0, 40]: 80 panels of 24-point
     Gauss-Legendre.  At x = J e^40 ~ 4e21 every |q| < 1 (so
-    |q| <= 1 - 2^-53) has |q|^(2x) = 0 in double precision."""
-    return _panels(0.5, 0, 80, 24)
+    |q| <= 1 - 2^-53) has |q|^(2x) = 0 in double precision.  Built on first
+    use: the Legendre roots cost an eigensolve that imports should not pay."""
+    x, w = np.polynomial.legendre.leggauss(24)
+    start = np.arange(80, dtype=float)[:, None]
+    nodes, weights = ((start + 0.5 * (x + 1.0)) * 0.5).ravel(), np.tile(0.5 * (0.5 * w), 80)
+    nodes.flags.writeable = weights.flags.writeable = False  # cached
+    return nodes, weights
 
 
 def _series_term(x: np.ndarray, logq: np.ndarray, wq: np.ndarray,
@@ -147,47 +135,58 @@ def expect_neg_log1p_moments(absq: np.ndarray, weights: np.ndarray, m: int) -> f
     return -w1 ** m * math.log(2.0) - (head + tail)
 
 
-def _one_minus_re_power(t: np.ndarray, logr: np.ndarray, w: np.ndarray,
-                        m: int) -> np.ndarray:
-    """1 - Re phi(t)^m, phi(t) = sum_i w_i e^(i t Y_i), accurate as t -> 0."""
-    ty = np.multiply.outer(t, logr)
-    u_im = np.sin(ty) @ w
-    ty *= 0.5  # in place, as in _series_term
-    np.sin(ty, out=ty)
-    ty *= ty
-    u_re = -2.0 * (ty @ w)   # Re(phi - 1)
-    # ln|phi|^2 = log1p(2 Re u + |u|^2); from |phi|^2 itself where phi is
-    # small, so that rounding cannot push the log1p argument below -1
-    s = 2.0 * u_re + u_re * u_re + u_im * u_im
-    abs2 = np.maximum((1.0 + u_re) ** 2 + u_im * u_im, np.finfo(float).tiny)
-    ln_abs2 = np.where(s > -0.5, np.log1p(np.maximum(s, -0.5)), np.log(abs2))
-    a = 0.5 * m * ln_abs2
-    b = m * np.arctan2(u_im, 1.0 + u_re)
-    return -(np.expm1(a) * np.cos(b) - 2.0 * np.sin(0.5 * b) ** 2)
+def _contour_estimates(logr: np.ndarray, v: np.ndarray, m: int):
+    """Trapezoid estimates of int_0^T_MAX Re[R(t)^m / ((1/2 + it) cosh pi t)] dt
+    and of the integral of its absolute value, R(t) = sum_i v_i cos(t logr_i)
+    = M(1/2 + it) / M(1/2), at _R_INTERVALS[0], twice that, ... intervals."""
+    def integrand(t):
+        # (1 - R) / 2 and (1 + R) / 2, each accurate where it is small, so
+        # that R^m keeps its digits at the peaks R -> 1 and R -> -1
+        theta = 0.5 * np.multiply.outer(t, logr)
+        sin2 = np.sin(theta) ** 2 @ v
+        cos2 = np.cos(theta) ** 2 @ v
+        with np.errstate(divide="ignore"):  # R = 0
+            power = np.exp(m * np.log1p(-2.0 * np.minimum(sin2, cos2)))
+        if m % 2:
+            power[cos2 < sin2] *= -1.0
+        return power * 2.0 / ((1.0 + 4.0 * t * t) * np.cosh(np.pi * t))
+
+    intervals, last = _R_INTERVALS
+    y = integrand(np.linspace(0.0, T_MAX, intervals + 1))
+    y[[0, -1]] *= 0.5
+    sums = np.array([y.sum(), np.abs(y).sum()])
+    yield sums * T_MAX / intervals
+    while intervals < last:
+        # the new nodes are the midpoints of the old intervals
+        y = integrand(np.arange(1, 2 * intervals, 2) * (0.5 * T_MAX / intervals))
+        sums += (y.sum(), np.abs(y).sum())
+        intervals *= 2
+        yield sums * T_MAX / intervals
 
 
-def expect_neg_log1p_positive(logr: np.ndarray, weights: np.ndarray, m: int,
-                              refine: int = 1) -> float:
+def expect_neg_log1p_positive(logr: np.ndarray, weights: np.ndarray, m: int) -> float:
     """E[-ln(1 + prod r)] over m draws of atoms r = e^logr > 0.
 
     ``weights`` may sum to less than 1: the missing mass is r = 0, which
-    zeroes the product.  ``refine`` multiplies the panel count (a
-    self-check of the quadrature).
+    zeroes the product.  The atoms must pair as in a repetition top, each
+    (w, r) with a (w r, 1/r), so that M(c) = M(1 - c) (module docstring).
+    Raises ArithmeticError where the trapezoid does not converge within
+    _R_INTERVALS[1] intervals.
     """
     if logr.size == 0:
         return 0.0
-    live_mass = float(weights.sum())
-    w = weights / live_mass
-    panels = refine * _r_panels(logr, m)
-    width = T_MAX / panels
-    per_block = _NODE_BLOCK // _R_ORDER
-    integral = 0.0
-    for first in range(0, panels, per_block):
-        t, wt = _panels(width, first, min(per_block, panels - first), _R_ORDER)
-        kernel = wt / (t * np.sinh(np.pi * t))
-        integral += float(kernel @ _one_minus_re_power(t, logr, w, m))
-    mean = 0.5 * m * float(w @ logr) + math.log(2.0) + integral
-    return -live_mass ** m * mean
+    half = weights * np.exp(0.5 * logr)  # sums to M(1/2)
+    scale = float(half.sum())
+    if scale ** m == 0.0:  # underflow: the log form is not implemented
+        return 0.0
+    estimates = _contour_estimates(logr, half / scale, m)
+    prev = next(estimates)[0]
+    for est, est_abs in estimates:
+        if abs(est - prev) <= _R_RTOL * est_abs:
+            return -scale ** m * float(est)
+        prev = est
+    raise ArithmeticError(
+        f"r-side trapezoid not converged at {_R_INTERVALS[1]} intervals (m = {m})")
 
 
 @dataclass(frozen=True)
@@ -197,28 +196,19 @@ class LongRepEstimate:
 
 
 def s_rb_estimate_atoms(rows: np.ndarray, m: int) -> float:
-    """S_RB (bits) of a repetition top of length m over the atom table
-    ``rows`` (``rep.top_atoms``)."""
+    """S_RB - 1 (bits) of a repetition top of length m over the atom table
+    ``rows`` (``rep.top_atoms``), relatively accurate."""
     if m < 1:
         raise ValueError("m must be >= 1")
     w, absq, r = rows.T
     e_q = expect_neg_log1p_moments(absq, w, m)
     pos = r > 0.0
     e_r = expect_neg_log1p_positive(np.log(r[pos]), w[pos], m)
-    return 1.0 + (e_q - e_r) / math.log(2.0)
-
-
-def estimate_nodes(rows: np.ndarray, m: int) -> int:
-    """Series terms and quadrature nodes of one ``s_rb_estimate_atoms``
-    call, each evaluated once per atom."""
-    r = rows[:, 2]
-    r = r[r > 0.0]
-    panels = _r_panels(np.log([r.min(), r.max()]), m) if r.size else 0
-    return SERIES_HEAD + 80 * 24 + _R_ORDER * panels  # head, _tail_rule, r side
+    return (e_q - e_r) / math.log(2.0)
 
 
 def s_rb_estimate(n: int, m: int, family, p: float) -> LongRepEstimate:
     """Estimated S_RB (bits) of the n x m concatenated repetition code
     repX(n) x repZ(m) on a channel family at parameter p."""
     weights, channels = block_entries(n, "X", family_eval(family, p))
-    return LongRepEstimate(s_rb_estimate_atoms(top_atoms(weights, channels, "Z"), m))
+    return LongRepEstimate(1.0 + s_rb_estimate_atoms(top_atoms(weights, channels, "Z"), m))

@@ -33,7 +33,6 @@ from .channels import PauliChannel
 # of a multiset table, ordered assignments of a stack layer's product
 ASSIGNMENT_BUDGET = 100_000_000
 _SUM_DIFF = np.array([[1.0, 1.0], [1.0, -1.0]])
-_TINY = np.finfo(float).tiny
 
 
 class StackBudgetError(ValueError):
@@ -241,12 +240,12 @@ def s_rb_rep(n: int, m: int, ch: PauliChannel) -> float:
     (a memory guard).
     """
     weights, channels = block_entries(n, "X", ch)
-    return s_rb_atoms(top_atoms(weights, channels, "Z"), m)
+    return 1.0 + s_rb_atoms(top_atoms(weights, channels, "Z"), m)
 
 
 def s_rb_atoms(rows: np.ndarray, m: int):
-    """Exact S_RB (bits) of a repetition top of length m over its atom table
-    (``top_atoms``) by a sum over multisets of atoms; StackBudgetError
+    """Exact S_RB - 1 (bits) of a repetition top of length m over its atom
+    table (``top_atoms``) by a sum over multisets of atoms; StackBudgetError
     where they exceed ASSIGNMENT_BUDGET.  A batch of tables (B, atoms, 3)
     gives a (B,) array; zero rows there are atoms of zero weight."""
     counts, log_mult = multisets(m, rows.shape[-2])
@@ -258,14 +257,17 @@ def s_rb_atoms(rows: np.ndarray, m: int):
     if zero.any():
         log_sums[counts @ zero > 0.0] = -np.inf
     w = np.exp(log_mult + log_sums[..., 0])
-    q_hat = np.exp(log_sums[..., 1])
-    r_hat_log = log_sums[..., 2]
     # phi_q = E[-ln(1 + prod q) | counts]: the magnitude Q is fixed by the
-    # counts and the sign is + with probability (1+Q)/2; (1 - Q) ln(1 - Q)
-    # is 0 at Q = 1
-    plus, minus = 1.0 + q_hat, 1.0 - q_hat
-    phi_q = -0.5 * (plus * np.log(plus) + minus * np.log(np.maximum(minus, _TINY)))
-    phi_r = -np.logaddexp(0.0, r_hat_log)
+    # counts and the sign is + with probability (1+Q)/2, so phi_q =
+    # -(Q (l+ - l-) + l+ + l-) / 2 with l+- = ln(1 +- Q).  At small Q the sum
+    # l+ + l- = ln(1 - Q^2) would cancel the leading Q^2 / 2, so it is taken
+    # by log1p(-Q^2) there; Q = 1 is taken at 1 - 2^-53, within 2e-15
+    q_hat = np.exp(np.minimum(log_sums[..., 1], -2.0 ** -53))
+    log_plus, log_minus = np.log1p(q_hat), np.log1p(-q_hat)
+    phi_q = -0.5 * (q_hat * (log_plus - log_minus) + np.where(
+        q_hat < 0.5, np.log1p(-q_hat * q_hat), log_plus + log_minus))
+    # phi_q - phi_r, phi_r = E[-ln(1 + prod r) | counts]
+    phi = phi_q + np.logaddexp(0.0, log_sums[..., 2])
     if rows.ndim == 2:
-        return 1.0 + float(w @ (phi_q - phi_r)) / math.log(2.0)
-    return 1.0 + np.einsum("...i,...i->...", w, phi_q - phi_r) / math.log(2.0)
+        return float(w @ phi) / math.log(2.0)
+    return np.einsum("...i,...i->...", w, phi) / math.log(2.0)

@@ -193,6 +193,83 @@ def rep_concat_threshold(n, m, bracket=(0.10, 0.13)):
         return _root(lambda p: s_rb_rep_concat(n, m, p) - 1, *bracket)
 
 
+# --- repX(n) x repZ(m) under any Pauli channel, S_RB - 1 ----------------------
+
+def _compositions(total, parts):
+    """Every tuple of ``parts`` non-negative counts summing to ``total``."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _block_atoms(n, channel):
+    """(weight, |q|, r) of the inner blocks, one per syndrome class weight
+    k <= n/2 and z-parity b of the block error.
+
+    The checks Z Z see the x-part of a block's error up to its complement,
+    the block logical X^n; the class of x-weights {k, n-k} is the syndrome.
+    Within it, the x-part (x or its complement) is the block's logical X
+    bit, which the outer X^n X^n checks do not see, and the z-parity is its
+    logical Z bit, which they do.  With letters X, Y inside the x-support
+    and I, Z outside, a pattern of weight k has z-parity b with probability
+    g_b(k) = ((pX+pY)^k (pI+pZ)^(n-k) + (-1)^b (pX-pY)^k (pI-pZ)^(n-k)) / 2.
+    Per (class, b): A = g_b(k) + g_b(n-k), q = (g_b(k) - g_b(n-k)) / A and
+    r = A(1-b) / A(b), the weight counting the C(n, k) patterns of weight k
+    (half of them at k = n/2, where a pattern and its complement both are).
+    """
+    p_i, p_x, p_y, p_z = channel
+
+    def g(b, k):
+        sign = 1 if b == 0 else -1
+        return ((p_x + p_y) ** k * (p_i + p_z) ** (n - k)
+                + sign * (p_x - p_y) ** k * (p_i - p_z) ** (n - k)) / 2
+
+    atoms = []
+    for k in range(n // 2 + 1):
+        classes = mpf(math.comb(n, k)) / (2 if 2 * k == n else 1)
+        for b in (0, 1):
+            a = g(b, k) + g(b, n - k)
+            if a > 0:
+                other = g(1 - b, k) + g(1 - b, n - k)
+                atoms.append((classes * a, abs(g(b, k) - g(b, n - k)) / a, other / a))
+    return atoms
+
+
+def s_rb_minus_one_rep(n, m, channel):
+    """S_RB - 1 (bits) of repX(n) x repZ(m) under an (I, X, Y, Z) channel,
+    by a sum over the multisets of the m blocks' atoms.
+
+    Given the inner syndromes and the outer syndrome (the blocks' z-bits up
+    to complementing all of them), the logical X is the parity of the
+    blocks' x-bits and the logical Z picks the z-vector or its complement.
+    For a multiset with Q = prod |q| and R = prod r (the complement's
+    probability over the vector's) the conditional entropy is, in nats,
+    ln 2 - ((1+Q) ln(1+Q) + (1-Q) ln(1-Q)) / 2 + ln(1 + R), so
+
+        S_RB - 1 = E[-((1+Q) ln(1+Q) + (1-Q) ln(1-Q)) / 2 + ln(1 + R)] / ln 2,
+
+    with the first term written as -(2Q atanh Q + log1p(-Q^2)) / 2 so that
+    its leading Q^2 / 2 is not lost.
+    """
+    with mp.workdps(DPS):
+        atoms = _block_atoms(n, tuple(_mpf(x) for x in channel))
+        log_fact = [mp.log(mp.factorial(c)) for c in range(m + 1)]
+        total = mpf(0)
+        for counts in _compositions(m, len(atoms)):
+            live = [(c, atom) for c, atom in zip(counts, atoms) if c]
+            weight = mp.exp(log_fact[m] - mp.fsum(log_fact[c] for c, _ in live))
+            weight *= mp.fprod(w ** c for c, (w, _, _) in live)
+            big_q = mp.fprod(q ** c for c, (_, q, _) in live)
+            big_r = mp.fprod(r ** c for c, (_, _, r) in live)
+            phi_q = (-mp.log(2) if big_q == 1 else
+                     -(2 * big_q * mp.atanh(big_q) + mp.log1p(-big_q ** 2)) / 2)
+            total += weight * (phi_q + mp.log1p(big_r))
+        return total / mp.log(2)
+
+
 # --- Steane code under a general Pauli channel -------------------------------
 
 _HAMMING = (0b1010101, 0b0110011, 0b0001111)

@@ -119,13 +119,18 @@ def test_criterion3_table9(cell_id, stack, expected, published):
     _report(f"c3 table9 {cell_id}", res.p_star, expected, 1e-8, published)
 
 
-@pytest.mark.parametrize("stack,expected", [
-    ("repZ(5) x repX(5)", 0.06352047429),
-    ("repZ(5) x biased9", 0.063514550053)],
-    ids=["5repZx5repX", "5repZxbiased9"])
-def test_criterion3_table2_rows(stack, expected):
-    res = threshold(parse_stack_spec(stack), DEPOL)
-    _report(f"c3 table2 {stack}", res.p_star, expected, 1e-8)
+def _manifest_cells(name):
+    """(cell, tolerance) per cell of a manifest, as ``cosetcap tables`` runs it."""
+    man = load_manifest(name)
+    return [pytest.param(c, c.get("tol", man["default_tol"]), id=c["id"])
+            for c in man["cells"]]
+
+
+@pytest.mark.parametrize("cell,tol", _manifest_cells("table2"))
+def test_criterion3_table2_rows(cell, tol):
+    assert cell["channel"] == "depol"
+    res = threshold(parse_stack_spec(cell["stack"]), DEPOL)
+    _report(f"c3 table2 {cell['stack']}", res.p_star, cell["expected"], tol)
 
 
 # --- criterion 4: Monte Carlo threshold -------------------------------------
@@ -256,16 +261,12 @@ def test_criterion7_table10(row_id, stack, coeffs, q_exp, ph_exp, ph_published):
     _report(f"c7 table10 {row_id} p_hash", p_hash, ph_exp, 1e-6, ph_published)
 
 
-@pytest.mark.parametrize("stack,coeffs,q_exp,ph_exp", [
-    ("repX(3) x repZ(5)", (0.00840665, 0.980756, 0.01083735),
-     0.00688476977, 0.3611050233),
-    ("repX(3) x 5qubit", (0.01256495, 0.00740623, 0.98002881),
-     0.00638679074, 0.3596135389)],
-    ids=["3repXx5repZ", "3repXx5qubit"])
-def test_criterion7_table11_rows(stack, coeffs, q_exp, ph_exp):
-    p_hash, q = nonadditivity_at_hashing(parse_stack_spec(stack), coeffs)
-    _report(f"c7 table11 {stack} q", q, q_exp, 1e-5)
-    _report(f"c7 table11 {stack} p_hash", p_hash, ph_exp, 1e-5)
+@pytest.mark.parametrize("cell,tol", _manifest_cells("table11"))
+def test_criterion7_table11_rows(cell, tol):
+    stack = cell["stack"]
+    p_hash, q = nonadditivity_at_hashing(parse_stack_spec(stack), tuple(cell["coefficients"]))
+    _report(f"c7 table11 {stack} q", q, cell["expected_q"], tol)
+    _report(f"c7 table11 {stack} p_hash", p_hash, cell["expected_p_hash"], tol)
 
 
 # --- criterion 8: optimizer search ------------------------------------------

@@ -139,6 +139,15 @@ def test_no_bracket_is_numerical_failure(monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_underflowing_top_is_numerical_failure(capsys):
+    # S_RB - 1 of a 5001-block repetition top underflows to 0 near its
+    # threshold: exit 3 and name the missing log form, not a noise root
+    assert run(["threshold", "--code", "repX(3) x repZ(5001)", "--channel", "depol"]) \
+        == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == "" and "log form" in captured.err
+
+
 def test_sweep_csv_roundtrip(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     argv = ["sweep", "--code", "", "--channel", "depol",

@@ -1,14 +1,19 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+import oracle
 from cosetcap import (ChannelFamily, block_entries, block_table, family_eval,
                       parse_channel_spec, parse_stack_spec, s_rb_estimate, s_rb_rep,
-                      top_atoms)
-from cosetcap.longrep import (expect_neg_log1p_moments, expect_neg_log1p_positive,
-                              s_rb_estimate_atoms)
-from cosetcap.rep import StackBudgetError
+                      threshold, top_atoms)
+from cosetcap.capacity import NoThresholdError
+from cosetcap.channels import bracketed_root
+from cosetcap.longrep import (_contour_estimates, expect_neg_log1p_moments,
+                              expect_neg_log1p_positive, s_rb_estimate_atoms)
+from cosetcap.rep import StackBudgetError, _multisets, s_rb_atoms
+from cosetcap.stacks import top_entries
 
 DEPOL = ChannelFamily("depolarizing")
 FAMILIES = [ChannelFamily("depolarizing"), ChannelFamily("independent_xz"),
@@ -21,7 +26,7 @@ def _atoms(n, ch):
 
 
 def _estimate(n, m, ch):
-    return s_rb_estimate_atoms(_atoms(n, ch), m)
+    return 1.0 + s_rb_estimate_atoms(_atoms(n, ch), m)
 
 
 def test_qr_against_block_table():
@@ -100,14 +105,19 @@ def _enumerated_r_term(n, m, ch):
     return float(weight @ -np.logaddexp(0.0, log_prod))
 
 
-def _r_side(n, m, ch, refine=1):
+def _live_r(n, ch):
+    """ln r and weights of the atoms with r > 0."""
     w, _, r = _atoms(n, ch).T
     pos = r > 0.0
-    return expect_neg_log1p_positive(np.log(r[pos]), w[pos], m, refine=refine)
+    return np.log(r[pos]), w[pos]
+
+
+def _r_side(n, m, ch):
+    return expect_neg_log1p_positive(*_live_r(n, ch), m)
 
 
 def test_positive_expectation_matches_enumeration():
-    # the characteristic-function quadrature against every (k, b)^m outcome,
+    # the contour integral against every (k, b)^m outcome,
     # from p = 0 (every live r is 0) to p = 0.2
     worst = 0.0
     for fam in FAMILIES:
@@ -119,17 +129,24 @@ def test_positive_expectation_matches_enumeration():
     assert worst <= 1e-13
 
 
-@pytest.mark.parametrize("n,m,fam,p,tol", [
-    (7, 61, "depolarizing", 1e-6, 1e-12),
-    (7, 301, "depolarizing", 0.0635, 1e-12),
-    (5, 501, "independent_xz", 0.112, 1e-12),
-    (3, 2000, "independent_xz", 0.112, 5e-11)])
-def test_r_side_node_refinement(n, m, fam, p, tol):
-    # 4x the panels moves S_RB by no more than rounding, whose floor grows
-    # as m max|ln r|
+@pytest.mark.parametrize("n,m,fam,p", [
+    (7, 61, "depolarizing", 1e-6),
+    (7, 61, "depolarizing", 1e-3),
+    (7, 301, "depolarizing", 0.0635),
+    (5, 501, "independent_xz", 0.112),
+    (3, 2000, "independent_xz", 0.112)])
+def test_r_side_node_refinement(n, m, fam, p):
+    # one doubling past the converged trapezoid moves E_r by no more than
+    # 1e-13 relative, from 1e-141 (p = 1e-6) up to 0.1
     ch = family_eval(ChannelFamily(fam), p)
-    shift = abs(_r_side(n, m, ch, refine=4) - _r_side(n, m, ch)) / math.log(2.0)
-    assert shift <= tol
+    logr, w = _live_r(n, ch)
+    half = w * np.exp(0.5 * logr)
+    scale = float(half.sum()) ** m
+    got = _r_side(n, m, ch)
+    assert got < 0.0
+    estimates = [float(est) for est, _ in _contour_estimates(logr, half / half.sum(), m)]
+    done = [-scale * est for est in estimates].index(got)
+    assert abs(estimates[done + 1] - estimates[done]) <= 1e-13 * abs(estimates[done])
 
 
 def test_convolved_expectation_matches_enumeration():
@@ -178,15 +195,21 @@ def test_signed_distribution_invariants():
         for m in (1, 2, 7, 100):
             got = expect_neg_log1p_moments(np.array([c]), np.array([1.0]), m)
             assert got == pytest.approx(_sign_averaged(c ** m), abs=1e-14)
-    # one r atom of weight 1 - w0 next to an r = 0 mass w0: the product is
-    # r^m with probability (1 - w0)^m and 0 otherwise.  The m E[Y] / 2 term
-    # cancels against the integral, an absolute floor of ~eps * m |ln r|
+    # a pair of r atoms, (w / (1 + r), r) and (w r / (1 + r), 1 / r) as in
+    # a repetition top, next to an r = 0 mass w0 = 1 - w: j draws of r and
+    # m - j of 1 / r give the product r^(2j - m).  Relative, above a floor
+    # of ~1e-14 M(1/2)^m where the lobes of few, widely spaced ln r cancel
     for logr in (-30.0, -2.0, 0.0, 0.7, 25.0):
         for w0 in (0.0, 0.4):
+            log_w = math.log1p(-w0) - np.logaddexp(0.0, [logr, -logr])
             for m in (1, 2, 7, 100):
-                got = expect_neg_log1p_positive(np.array([logr]), np.array([1.0 - w0]), m)
-                want = -(1.0 - w0) ** m * np.logaddexp(0.0, m * logr)
-                assert got == pytest.approx(want, rel=1e-13, abs=1e-15 * m * abs(logr))
+                got = expect_neg_log1p_positive(np.array([logr, -logr]), np.exp(log_w), m)
+                j = np.arange(m + 1)
+                log_p = ([math.lgamma(m + 1.0) - math.lgamma(i + 1.0) - math.lgamma(m - i + 1.0)
+                          for i in j] + j * log_w[0] + (m - j) * log_w[1])
+                want = -float(np.exp(log_p) @ np.logaddexp(0.0, (2 * j - m) * logr))
+                floor = 1e-14 * float(np.exp(log_w + 0.5 * np.array([logr, -logr])).sum()) ** m
+                assert got == pytest.approx(want, rel=1e-13, abs=floor)
 
 
 def test_estimate_m1_reduces_to_block_value():
@@ -271,16 +294,89 @@ def test_estimate_family_entry_point():
     assert est.s_rb == pytest.approx(1.0, abs=1e-6)
 
 
-def test_sweep_script_leaves_rounding_noise_cells_empty():
-    # 5 x 1001 on the depolarizing channel: S_RB - 1 is within ~1e-13 of 0
-    # over the whole bracket, and its sign there is rounding noise
+def test_sweep_script_bracket_gives_long_tops_their_threshold():
+    # 5 x 1001 on the depolarizing channel, the script's longest default:
+    # S_RB - 1 is -1e-18 and +3e-22 at the bracket ends, and its sign holds
+    # the threshold
     import importlib.util
     import pathlib
     path = pathlib.Path(__file__).parents[1] / "scripts" / "sweep_longrep.py"
     spec = importlib.util.spec_from_file_location("sweep_longrep", path)
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
-    depol = parse_channel_spec("depol")
-    bracket = sweep.BRACKETS["depolarizing"]
-    assert not sweep.above_floor(parse_stack_spec("repX(5) x repZ(1001)"), depol, bracket)
-    assert sweep.above_floor(parse_stack_spec("repX(5) x repZ(51)"), depol, bracket)
+    got = threshold(parse_stack_spec("repX(5) x repZ(1001)"), parse_channel_spec("depol"),
+                    tol=1e-10, bracket=sweep.BRACKETS["depolarizing"])
+    assert got.p_star == pytest.approx(0.0630783856, abs=2e-9)
+    assert got.method == "longrep"
+
+
+# depolarizing thresholds on the script's bracket, from the relative
+# S_RB - 1; the m -> inf limits are 0.0622 (inner 3), 0.0628 (inner 5),
+# 0.0611 (steane) and 0.0606 (bare)
+GATE_BRACKET = (0.055, 0.0675)
+GATE_THRESHOLDS = {"repX(3) x repZ(141)": 0.0629656967, "repX(3) x repZ(201)": 0.0628261497,
+                   "repX(3) x repZ(321)": 0.0626698531, "repX(5) x repZ(401)": 0.0632938793,
+                   "repX(5) x repZ(1001)": 0.0630783856, "steane x repZ(101)": 0.0615550893,
+                   "repZ(101)": 0.0615403211}
+
+
+@pytest.mark.parametrize("spec", GATE_THRESHOLDS)
+def test_long_top_thresholds(spec):
+    got = threshold(parse_stack_spec(spec), DEPOL, bracket=GATE_BRACKET)
+    assert got.p_star == pytest.approx(GATE_THRESHOLDS[spec], abs=2e-9)
+
+
+@pytest.mark.parametrize("m", [141, 201])
+def test_long_top_threshold_by_multiset_sum(m):
+    # the same root from the multiset sum (C(m + 3, 3) multisets of the four
+    # inner-3 atoms), which the cost rule hands to the estimator
+    def excess(p):
+        return s_rb_atoms(_atoms(3, family_eval(DEPOL, p)), m)
+
+    lo, hi = GATE_BRACKET
+    lo, hi, _ = bracketed_root(excess, lo, hi, 1e-11, excess(lo), excess(hi))
+    _multisets.cache_clear()  # ~60 MB of count rows at m = 201
+    got = threshold(parse_stack_spec(f"repX(3) x repZ({m})"), DEPOL, bracket=GATE_BRACKET)
+    assert got.method == "longrep"
+    assert 0.5 * (lo + hi) == pytest.approx(got.p_star, abs=1e-9)
+
+
+def test_underflowing_top_refuses_a_threshold():
+    # past m ~ 4,000 M(1/2)^m and M_2^m underflow, and S_RB - 1 reads
+    # exactly 0 over the middle of the bracket: no root is returned
+    with pytest.raises(NoThresholdError, match="log form"):
+        threshold(parse_stack_spec("repX(3) x repZ(5001)"), DEPOL, bracket=GATE_BRACKET)
+
+
+def _oracle_excess(spec, p):
+    stack = parse_stack_spec(spec)
+    n = stack.layers[0].n if len(stack.layers) > 1 else 1
+    with mpmath.workdps(oracle.DPS):
+        return oracle.s_rb_minus_one_rep(n, stack.layers[-1].n,
+                                         oracle.depolarizing(mpmath.mpf(p)))
+
+
+def test_oracle_rep_sum_matches_independent_xz_form():
+    # the multiset sum over block atoms against the factored X/Z formula
+    for n, m, p in ((1, 5, 0.08), (3, 3, 0.11), (4, 2, 0.2)):
+        with mpmath.workdps(oracle.DPS):
+            want = oracle.s_rb_rep_concat(n, m, p) - 1
+            got = oracle.s_rb_minus_one_rep(n, m, oracle.independent_xz(oracle._mpf(p)))
+            assert abs(got - want) <= mpmath.mpf(10) ** (5 - oracle.DPS)
+
+
+@pytest.mark.parametrize("spec,p,rel", [
+    ("repZ(101)", 0.058, 1e-12), ("repZ(101)", 0.065, 1e-12),
+    ("repX(3) x repZ(48)", None, 1e-9)])
+def test_atom_engines_match_oracle_relatively(spec, p, rel):
+    # S_RB - 1 is 1e-18 (bare, 1e-21 of its terms) or 1e-8 (1e-7 above the
+    # root) here: both engines against 40-digit mpmath, relative
+    stack = parse_stack_spec(spec)
+    if p is None:
+        p = threshold(stack, DEPOL, bracket=GATE_BRACKET).p_star + 1e-7
+    entries = top_entries(stack, family_eval(DEPOL, p))
+    rows = top_atoms(entries.weights, entries.channels, "Z")
+    want = float(_oracle_excess(spec, p))
+    m = stack.layers[-1].n
+    assert s_rb_atoms(rows, m) == pytest.approx(want, rel=rel, abs=0.0)
+    assert s_rb_estimate_atoms(rows, m) == pytest.approx(want, rel=rel, abs=0.0)
