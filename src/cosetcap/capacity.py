@@ -14,16 +14,16 @@ S_RB - k (``Evaluation.excess``):
   * repetition top layer over any inner stack (``codes.rep_type_of``)
                                   -> the atom table of the top over its
     inner entries (``stacks.top_entries``, ``rep.top_atoms``), summed
-    exactly over multisets of atoms (method "grouped") or by the long-rep
-    estimator (method "longrep"), whichever costs less; both are exact
+    exactly over multisets of atoms up to SUM_MULTISETS (method "grouped"),
+    past it by the long-rep estimator (method "longrep"); both are exact
     and return S_RB - 1 relatively accurate (1e-18 to 1e-30 near the
     thresholds of long tops, below the rounding of S_RB itself)
   * anything else                 -> effective-channel composition
     (method "grouped"; "exact" for a single layer)
 
-``evaluate_s_rb_batch`` takes an (A, 4) array of channels: one engine call
-for a single Walsh or multiset-sum repetition layer, ``evaluate_s_rb`` per
-row for every other stack, the empty one included.
+``evaluate_s_rb_batch`` gives S_RB - k for an (A, 4) array of channels:
+one engine call for a single Walsh or multiset-sum repetition layer,
+``evaluate_s_rb`` per row for every other stack, the empty one included.
 """
 
 from __future__ import annotations
@@ -37,19 +37,19 @@ from .channels import (ChannelFamily, PauliChannel, bracketed_root, channel_entr
                        entropy_peak, family_eval, hashing_point)
 from .codes import rep_type_of
 from .exact import _batched_cells, batched_s_rb, s_rb_code
-from .longrep import ESTIMATE_NODES, s_rb_estimate_atoms
+from .longrep import s_rb_estimate_atoms
 from .rep import multiset_count, s_rb_atoms, top_atoms
 from .stacks import CodeStack, MonteCarlo, s_rb_stack_exact, s_rb_stack_mc, top_entries
 
 DEFAULT_TOL = 1e-10
-# cost of the atom engines in ns, scale x (overhead + atoms) per multiset of
-# the sum and per node of the estimator (ESTIMATE_NODES); fitted on one
-# BLAS thread of a shared 2-core host, sum / estimator in ms (best of 31)
-# at depolarizing p = 0.0637: 7x12 2.2 / 2.4, 7x14 5.0 / 2.3, 5x20 1.9 /
-# 2.2, 5x23 4.4 / 2.0, 3x70 2.7 / 4.1, 3x110 10.3 / 4.2, 1x20000 1.5 / 1.8;
-# repX(3) x 5qubit x repZ(3) (56 atoms at p = 1e-3) 3.8 / 9.7
-_SUM_NS = (2.2, 20.0)
-_NODE_NS = (9.0, 20.0)
+# the multiset sum up to this many multisets of a repetition top's atom
+# table, the long-rep estimator past it: 19,329 estimator nodes x 9.0 ns /
+# 2.2 ns per multiset, fitted with a factor (20 + atoms) on both that
+# cancels.  Sum / estimator in ms (best of 31, one BLAS thread of a shared
+# 2-core host, depolarizing p = 0.0637): 7x12 2.2 / 2.4, 7x14 5.0 / 2.3,
+# 5x20 1.9 / 2.2, 5x23 4.4 / 2.0, 3x70 2.7 / 4.1, 3x110 10.3 / 4.2, 1x20000
+# 1.5 / 1.8; repX(3) x 5qubit x repZ(3) (56 atoms at p = 1e-3) 3.8 / 9.7
+SUM_MULTISETS = 79_073
 
 
 class NoThresholdError(RuntimeError):
@@ -71,19 +71,11 @@ class Evaluation:
         return self.k + self.excess
 
 
-def _atom_costs(m: int, atoms: int) -> tuple[float, float]:
-    """Modelled cost in ns of the multiset sum over ``atoms`` atoms of a
-    repetition top of length m, and of one estimator node."""
-    return (multiset_count(m, atoms) * _SUM_NS[0] * (_SUM_NS[1] + atoms),
-            _NODE_NS[0] * (_NODE_NS[1] + atoms))
-
-
 def _evaluate_atoms(rows, m: int) -> Evaluation:
     """S_RB of a repetition top of length m over its atom table, by the
-    multiset sum ("grouped") or the long-rep estimator ("longrep"),
-    whichever costs less (``_SUM_NS``, ``_NODE_NS``)."""
-    sum_ns, node_ns = _atom_costs(m, rows.shape[0])
-    if sum_ns <= ESTIMATE_NODES * node_ns:
+    multiset sum ("grouped") up to SUM_MULTISETS multisets, by the long-rep
+    estimator ("longrep") past it."""
+    if multiset_count(m, rows.shape[0]) <= SUM_MULTISETS:
         return Evaluation(s_rb_atoms(rows, m), 1, "grouped")
     return Evaluation(s_rb_estimate_atoms(rows, m), 1, "longrep")
 
@@ -108,26 +100,23 @@ def evaluate_s_rb(stack: CodeStack, ch: PauliChannel) -> Evaluation:
 
 
 def evaluate_s_rb_batch(stack: CodeStack, chans: np.ndarray) -> np.ndarray:
-    """S_RB of a stack under each channel row of ``chans`` (A, 4), as (A,).
+    """S_RB - k of a stack under each channel row of ``chans`` (A, 4), as (A,).
 
     A single Walsh layer goes through the Walsh engine, and a single
-    repetition layer on the multiset-sum side of ``_evaluate_atoms``
-    through the atom engine, once for all rows.  Every other stack runs
-    ``evaluate_s_rb`` row by row.
+    repetition layer within SUM_MULTISETS through the multiset sum, once
+    for all rows.  Every other stack runs ``evaluate_s_rb`` row by row.
     """
     if len(stack.layers) == 1 and not isinstance(stack.strategy, MonteCarlo):
         top = stack.layers[0]
         top_type = rep_type_of(top)
         if top_type is None:
             sites = np.broadcast_to(chans[:, None, :], (chans.shape[0], top.n, 4))
-            return batched_s_rb(_batched_cells(top, sites))
-        # a row has at most two atoms, and the sum's cost grows faster with
-        # atoms than a node's: chosen at two, it is chosen for every row
-        sum_ns, node_ns = _atom_costs(top.n, 2)
-        if sum_ns <= ESTIMATE_NODES * node_ns:
+            return batched_s_rb(_batched_cells(top, sites)) - stack.k_outer
+        # a row has at most two atoms: within the limit at two, every row is
+        if multiset_count(top.n, 2) <= SUM_MULTISETS:
             weights = np.ones((chans.shape[0], 1))
-            return 1.0 + s_rb_atoms(top_atoms(weights, chans[:, None, :], top_type), top.n)
-    return np.array([evaluate_s_rb(stack, PauliChannel(*row)).s_rb
+            return s_rb_atoms(top_atoms(weights, chans[:, None, :], top_type), top.n)
+    return np.array([evaluate_s_rb(stack, PauliChannel(*row)).excess
                      for row in chans.tolist()])
 
 

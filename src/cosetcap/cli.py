@@ -5,14 +5,14 @@ tables.  Stacks are written as layer names joined by " x ", innermost
 layer first: A x B encodes with B first.  Channels are depol, indxz,
 twopauli, or custom:cX,cY,cZ.  ``longrep --inner n --outer m`` is
 ``sweep`` on "repX(n) x repZ(m)", which picks the multiset sum or the
-long-rep estimator by cost like every other repetition top.
+long-rep estimator by multiset count like every other repetition top.
 
 Exit codes: 0 success, 1 regression mismatches, 2 validation error
 (including a sample count below 1, a threshold tolerance that is not
 finite and positive, fewer than one restart, and a code or stack layer
 longer than the exact engine's 13 qubits; innermost repetition layers and
 repetition tops, which have closed forms, have no such limit, exact or
-Monte Carlo), 3 numerical failure (no bracket, enumeration budget).
+Monte Carlo), 3 numerical failure (no bracket, enumeration or estimator budget).
 """
 
 from __future__ import annotations

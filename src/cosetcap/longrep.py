@@ -66,16 +66,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import family_eval
-from .rep import block_entries, top_atoms
+from .rep import block_entries, check_budget, top_atoms
 
 SERIES_HEAD = 1 << 14  # J: moment-series terms summed directly
 _HEAD_CHUNK = 2048
 T_MAX = 14.0          # r-side cut
 _R_INTERVALS = (256, 1 << 16)  # r-side trapezoid: first and most intervals
 _R_RTOL = 1e-14       # r-side doubling stops where two estimates agree to this
-# nodes of one s_rb_estimate_atoms call, each evaluated once per atom: the
-# series head, _tail_rule and an r-side allowance (the trapezoid at 1,024)
-ESTIMATE_NODES = SERIES_HEAD + 80 * 24 + 1025
 
 
 @functools.cache
@@ -141,12 +138,13 @@ def _contour_estimates(logr: np.ndarray, v: np.ndarray, m: int):
     = M(1/2 + it) / M(1/2), at _R_INTERVALS[0], twice that, ... intervals."""
     def integrand(t):
         # (1 - R) / 2 and (1 + R) / 2, each accurate where it is small, so
-        # that R^m keeps its digits at the peaks R -> 1 and R -> -1
+        # that R^m keeps its digits at the peaks R -> 1 and R -> -1; their
+        # sum is 1 only to rounding, so the smaller is clamped at 1/2 (R = 0)
         theta = 0.5 * np.multiply.outer(t, logr)
         sin2 = np.sin(theta) ** 2 @ v
         cos2 = np.cos(theta) ** 2 @ v
         with np.errstate(divide="ignore"):  # R = 0
-            power = np.exp(m * np.log1p(-2.0 * np.minimum(sin2, cos2)))
+            power = np.exp(m * np.log1p(-2.0 * np.minimum(np.minimum(sin2, cos2), 0.5)))
         if m % 2:
             power[cos2 < sin2] *= -1.0
         return power * 2.0 / ((1.0 + 4.0 * t * t) * np.cosh(np.pi * t))
@@ -197,10 +195,13 @@ class LongRepEstimate:
 
 def s_rb_estimate_atoms(rows: np.ndarray, m: int) -> float:
     """S_RB - 1 (bits) of a repetition top of length m over the atom table
-    ``rows`` (``rep.top_atoms``), relatively accurate."""
+    ``rows`` (``rep.top_atoms``), relatively accurate.  StackBudgetError,
+    before anything is built, where atoms x SERIES_HEAD exceeds
+    ASSIGNMENT_BUDGET: above 6,103 atoms, whose q-side arrays pass ~100 MB."""
     if m < 1:
         raise ValueError("m must be >= 1")
     w, absq, r = rows.T
+    check_budget(SERIES_HEAD * w.size, f"{w.size} atoms x {SERIES_HEAD} series terms")
     e_q = expect_neg_log1p_moments(absq, w, m)
     pos = r > 0.0
     e_r = expect_neg_log1p_positive(np.log(r[pos]), w[pos], m)

@@ -141,8 +141,7 @@ def _objective(stack: CodeStack, theta: np.ndarray):
     families = [custom_family(*c) for c in cs]
     p = np.array([hashing_point(f) for f in families])[:, None]
     chans = np.hstack([1.0 - p, np.array([f.coefficients for f in families]) * p])
-    s_rb = evaluate_s_rb_batch(stack, chans)
-    return (s_rb - stack.k_outer) / stack.total_length, cs
+    return evaluate_s_rb_batch(stack, chans) / stack.total_length, cs
 
 
 def _nelder_mead(theta0: np.ndarray):

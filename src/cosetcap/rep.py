@@ -32,6 +32,7 @@ from .channels import PauliChannel
 # cells of one exact enumeration: count-table entries (multisets x parts)
 # of a multiset table, ordered assignments of a stack layer's product
 ASSIGNMENT_BUDGET = 100_000_000
+_SUM_BLOCK = 1 << 17  # multisets per block of s_rb_atoms; > capacity.SUM_MULTISETS
 _SUM_DIFF = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
@@ -253,21 +254,24 @@ def s_rb_atoms(rows: np.ndarray, m: int):
     # where a weight, |q| or r vanishes; a multiset holding such an atom
     # gets a log sum of -inf in that column
     zero = rows == 0.0
-    log_sums = counts @ np.log(np.where(zero, 1.0, rows))
-    if zero.any():
-        log_sums[counts @ zero > 0.0] = -np.inf
-    w = np.exp(log_mult + log_sums[..., 0])
-    # phi_q = E[-ln(1 + prod q) | counts]: the magnitude Q is fixed by the
-    # counts and the sign is + with probability (1+Q)/2, so phi_q =
-    # -(Q (l+ - l-) + l+ + l-) / 2 with l+- = ln(1 +- Q).  At small Q the sum
-    # l+ + l- = ln(1 - Q^2) would cancel the leading Q^2 / 2, so it is taken
-    # by log1p(-Q^2) there; Q = 1 is taken at 1 - 2^-53, within 2e-15
-    q_hat = np.exp(np.minimum(log_sums[..., 1], -2.0 ** -53))
-    log_plus, log_minus = np.log1p(q_hat), np.log1p(-q_hat)
-    phi_q = -0.5 * (q_hat * (log_plus - log_minus) + np.where(
-        q_hat < 0.5, np.log1p(-q_hat * q_hat), log_plus + log_minus))
-    # phi_q - phi_r, phi_r = E[-ln(1 + prod r) | counts]
-    phi = phi_q + np.logaddexp(0.0, log_sums[..., 2])
-    if rows.ndim == 2:
-        return float(w @ phi) / math.log(2.0)
-    return np.einsum("...i,...i->...", w, phi) / math.log(2.0)
+    log_rows = np.log(np.where(zero, 1.0, rows))
+    total = 0.0
+    for lo in range(0, counts.shape[0], _SUM_BLOCK):
+        block = counts[lo:lo + _SUM_BLOCK]
+        log_sums = block @ log_rows
+        if zero.any():
+            log_sums[block @ zero > 0.0] = -np.inf
+        w = np.exp(log_mult[lo:lo + _SUM_BLOCK] + log_sums[..., 0])
+        # phi_q = E[-ln(1 + prod q) | counts]: the magnitude Q is fixed by
+        # the counts and the sign is + with probability (1+Q)/2, so phi_q =
+        # -(Q (l+ - l-) + l+ + l-) / 2 with l+- = ln(1 +- Q).  At small Q the
+        # sum l+ + l- = ln(1 - Q^2) would cancel the leading Q^2 / 2, so it is
+        # taken by log1p(-Q^2) there; Q = 1 is taken at 1 - 2^-53, within 2e-15
+        q_hat = np.exp(np.minimum(log_sums[..., 1], -2.0 ** -53))
+        log_plus, log_minus = np.log1p(q_hat), np.log1p(-q_hat)
+        phi_q = -0.5 * (q_hat * (log_plus - log_minus) + np.where(
+            q_hat < 0.5, np.log1p(-q_hat * q_hat), log_plus + log_minus))
+        # phi_q - phi_r, phi_r = E[-ln(1 + prod r) | counts]
+        phi = phi_q + np.logaddexp(0.0, log_sums[..., 2])
+        total += float(w @ phi) if rows.ndim == 2 else np.einsum("...i,...i->...", w, phi)
+    return total / math.log(2.0)

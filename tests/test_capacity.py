@@ -9,6 +9,7 @@ from cosetcap import (ChannelFamily, CodeStack, MonteCarlo, PauliChannel, channe
                       registry_get, registry_names, s_rb_rep, sweep, threshold)
 from cosetcap.capacity import (NoThresholdError, evaluate_s_rb, evaluate_s_rb_batch,
                                nonadditivity)
+from cosetcap.cli import EXIT_OK, run
 from cosetcap.codes import rep_type_of
 
 DEPOL = ChannelFamily("depolarizing")
@@ -122,18 +123,31 @@ def test_threshold_methods_dispatch():
 @pytest.mark.parametrize("n,m,method", [
     (7, 7, "grouped"), (5, 12, "grouped"), (7, 11, "grouped"), (5, 19, "grouped"),
     (7, 12, "grouped"), (5, 20, "grouped"), (3, 70, "grouped"), (1, 1000, "grouped"),
-    (7, 14, "longrep"), (5, 23, "longrep"), (3, 110, "longrep")])
+    (3, 75, "grouped"), (7, 14, "longrep"), (5, 23, "longrep"), (3, 76, "longrep"),
+    (3, 110, "longrep")])
 def test_rep_engine_switch(n, m, method):
-    # the cost rule picks the engine on the atom table, so the choice can
-    # move with p (at p = 0 every top has one atom); at the depolarizing
-    # point where its constants were fitted it is the listed one, and both
-    # engines give the multiset sum at every p
+    # the engine is picked by the multiset count of the atom table, so the
+    # choice can move with p (at p = 0 every top has one atom); at
+    # depolarizing 0.0637 it is the listed one (3x75 and 3x76 have 76,076
+    # and 79,079 multisets of four atoms, one on each side of
+    # SUM_MULTISETS), and both engines give the multiset sum at every p
     stack = parse_stack_spec(f"repX({n}) x repZ({m})" if n > 1 else f"repZ({m})")
     assert evaluate_s_rb(stack, family_eval(DEPOL, 0.0637)).method == method
     for fam in (DEPOL, INDXZ, TWOP):
         for p in (0.0, 1e-3, 0.0637, 0.11, fam.p_max() - 1e-9):
             ch = family_eval(fam, p)
             assert evaluate_s_rb(stack, ch).s_rb == pytest.approx(s_rb_rep(n, m, ch), abs=1e-12)
+
+
+def test_unbounded_multiset_count_goes_to_the_estimator(capsys):
+    # ~10^353 multisets of the 13cyclic atoms: compared as an integer, never
+    # converted to a float
+    ev = evaluate_s_rb(parse_stack_spec("13cyclic x repZ(1101)"), family_eval(DEPOL, 0.03))
+    assert ev.method == "longrep"
+    assert math.isfinite(ev.excess) and ev.excess < 0.0
+    assert run(["rate", "--code", "13cyclic x repZ(1101)", "--channel", "depol",
+                "--p", "0.03"]) == EXIT_OK
+    assert float(capsys.readouterr().out) > 0.0
 
 
 def test_threshold_no_sign_change():
@@ -209,6 +223,6 @@ def test_batch_matches_per_row_evaluation(spec):
     chans[1] = [0.7, 0.0, 0.0, 0.3]
     chans[2] = [1.0, 0.0, 0.0, 0.0]
     got = evaluate_s_rb_batch(stack, chans)
-    want = [evaluate_s_rb(stack, PauliChannel(*row)).s_rb for row in chans]
+    want = [evaluate_s_rb(stack, PauliChannel(*row)).excess for row in chans]
     assert got.shape == (20,)
     assert np.max(np.abs(got - want)) <= 1e-14

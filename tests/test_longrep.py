@@ -248,6 +248,15 @@ def test_expected_neg_log_q_term_is_nonpositive():
                 assert terms[-1] <= 0.0
 
 
+def test_estimator_refuses_an_atom_table_over_budget():
+    # 7,000 atoms x 2^14 series terms pass ASSIGNMENT_BUDGET: refused
+    # before the q side allocates its (2048, atoms) arrays
+    rows = np.column_stack([np.full(7000, 1.0 / 7000), np.linspace(0.1, 0.9, 7000),
+                            np.linspace(0.2, 0.8, 7000)])
+    with pytest.raises(StackBudgetError, match="7000 atoms"):
+        s_rb_estimate_atoms(rows, 100)
+
+
 def test_long_outer_code_stays_finite():
     # two_pauli has |q| = 1 atoms (w1 = 0.21): at m = 2000, w1^m and, for
     # large j, (w1 + S)^m underflow to 0, and the q term must stay finite
@@ -329,7 +338,7 @@ def test_long_top_thresholds(spec):
 @pytest.mark.parametrize("m", [141, 201])
 def test_long_top_threshold_by_multiset_sum(m):
     # the same root from the multiset sum (C(m + 3, 3) multisets of the four
-    # inner-3 atoms), which the cost rule hands to the estimator
+    # inner-3 atoms), which SUM_MULTISETS hands to the estimator
     def excess(p):
         return s_rb_atoms(_atoms(3, family_eval(DEPOL, p)), m)
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from cosetcap import (ChannelFamily, CodeStack, block_table, compose_stack,
                       make_repetition_code, registry_get, s_rb_code, s_rb_rep)
 from cosetcap.capacity import evaluate_s_rb
 from cosetcap.exact import coset_distribution
-from cosetcap.rep import StackBudgetError, multiset_count, multisets
+from cosetcap.rep import (StackBudgetError, _multisets, block_entries, multiset_count,
+                          multisets, s_rb_atoms, top_atoms)
 from conftest import random_channels
 
 DEPOL = ChannelFamily("depolarizing")
@@ -164,6 +166,22 @@ def test_s_rb_rep_budget():
     with pytest.raises(StackBudgetError):
         s_rb_rep(5, 500, ch)
     assert multiset_count(51, 6) == math.comb(56, 5)
+
+
+def test_multiset_sum_temporaries_are_blocked():
+    # 3x201: C(204, 3) = 1.4M multisets of four atoms.  With the count table
+    # cached, the sum's temporaries (~89 B per multiset) are held for one
+    # block of multisets at a time, not for all of them (124 MB)
+    rows = top_atoms(*block_entries(3, "X", family_eval(DEPOL, 0.0628)), "Z")
+    multisets(201, rows.shape[0])
+    tracemalloc.start()
+    try:
+        s_rb_atoms(rows, 201)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _multisets.cache_clear()  # ~56 MB of count rows
+    assert peak < 20e6
 
 
 def test_published_concatenated_threshold_values():

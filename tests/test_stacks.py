@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from cosetcap import (ChannelFamily, CodeStack, MonteCarlo, PauliChannel,
                       compose_stack, effective_channels, family_eval,
@@ -402,6 +402,10 @@ _ATOM_MIDDLE = [None, "3repZ", "repX(2)", "5qubit"]
 @settings(max_examples=20, deadline=None)
 @given(inner=st.sampled_from(_ATOM_INNER), middle=st.sampled_from(_ATOM_MIDDLE),
        top=st.sampled_from("XZ"), m=st.integers(2, 3), ch=pauli_channels())
+# R(t) = 0 where (1 - R) / 2 and (1 + R) / 2 both round above 1/2
+@example(inner="613H", middle="5qubit", top="X", m=2, ch=PauliChannel(0, 2 / 3, 0, 1 / 3))
+@example(inner="4repZ", middle="3repZ", top="Z", m=2,
+         ch=PauliChannel(0.5517241379310345, 0, 0.4482758620689655, 0))
 def test_atom_engines_match_the_walsh_top(inner, middle, top, m, ch):
     # a repetition top by its atom table, through the multiset sum and the
     # estimator, against the Walsh engine on the same inner entries
@@ -416,6 +420,16 @@ def test_atom_engines_match_the_walsh_top(inner, middle, top, m, ch):
     if rep.multiset_count(m, rows.shape[0]) * rows.shape[0] <= rep.ASSIGNMENT_BUDGET:
         assert 1.0 + rep.s_rb_atoms(rows, m) == pytest.approx(want, abs=1e-12)
     assert capacity.evaluate_s_rb(stack, ch).s_rb == pytest.approx(want, abs=1e-12)
+
+
+def test_long_atom_top_matches_the_walsh_top():
+    # 22 atoms whose R(t) passes through 0: the r side clamps the rounding
+    # there rather than take log1p of less than -1
+    stack = parse_stack_spec("613H x 5qubit x repX(7)")
+    ch = PauliChannel(0, 2 / 3, 0, 1 / 3)
+    ev = capacity.evaluate_s_rb(stack, ch)
+    assert ev.method == "longrep"
+    assert ev.s_rb == pytest.approx(s_rb_stack_exact(stack, ch), abs=1e-12)
 
 
 def _sorted_entries(entries):
