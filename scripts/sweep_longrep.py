@@ -7,7 +7,9 @@ peak in the outer length and then decline, with the inner-5 family peaking
 at 5 x 51 on the depolarizing channel.  S_RB - 1 is relatively accurate
 (-1e-18 and +3e-22 at the bracket ends for 5 x 1001), so a cell stays
 empty only where the rate has no sign change on the bracket, or where
-S_RB - 1 underflows (past m ~ 4,000, beyond the defaults).
+S_RB - 1 underflows near the threshold (depolarizing: from m = 4,577 for
+inner 3 in the estimator, from m = 1,745 for a bare repZ(m) in the
+multiset sum; beyond the default lengths either way).
 
 Usage: sweep_longrep.py [channel] [inner lengths ...]
        sweep_longrep.py depol 3 5 7

@@ -10,12 +10,11 @@ from .channels import (ChannelFamily, PauliChannel, channel_entropy,
                        parse_channel_spec)
 from .codes import (StabilizerCode, classify, make_repetition_code, parse_code,
                     registry_get, registry_names, serialize_code, trivial_code)
-from .exact import CosetTable, coset_distribution, s_rb_code, s_rb_exact
+from .exact import coset_distribution, s_rb_code
 from .stacks import (CodeStack, EffectiveChannelSet, MonteCarlo, compose_stack,
                      effective_channels, parse_stack_spec, s_rb_stack_exact,
                      s_rb_stack_mc)
-from .rep import (block_entries, block_table, concat_rep_coset_probs, fgh_eval, s_rb_rep,
-                  top_atoms)
+from .rep import block_entries, block_table, s_rb_rep, top_atoms
 from .longrep import s_rb_estimate
 from .capacity import ThresholdResult, rate, sweep, threshold
 from .optimize import OptimizationResult, nonadditivity_at_hashing, optimize_channel
@@ -28,11 +27,10 @@ __all__ = [
     "hashing_point", "custom_family", "parse_channel_spec",
     "StabilizerCode", "parse_code", "serialize_code", "registry_get",
     "registry_names", "classify", "make_repetition_code", "trivial_code",
-    "CosetTable", "coset_distribution", "s_rb_exact", "s_rb_code",
+    "coset_distribution", "s_rb_code",
     "CodeStack", "MonteCarlo", "EffectiveChannelSet", "parse_stack_spec",
     "compose_stack", "effective_channels", "s_rb_stack_exact", "s_rb_stack_mc",
-    "fgh_eval", "block_table", "block_entries", "top_atoms", "concat_rep_coset_probs",
-    "s_rb_rep", "s_rb_estimate",
+    "block_table", "block_entries", "top_atoms", "s_rb_rep", "s_rb_estimate",
     "rate", "threshold", "sweep", "ThresholdResult",
     "nonadditivity_at_hashing", "optimize_channel", "OptimizationResult",
     "__version__",

@@ -38,18 +38,10 @@ from .channels import (ChannelFamily, PauliChannel, bracketed_root, channel_entr
 from .codes import rep_type_of
 from .exact import _batched_cells, batched_s_rb, s_rb_code
 from .longrep import s_rb_estimate_atoms
-from .rep import multiset_count, s_rb_atoms, top_atoms
+from .rep import SUM_MULTISETS, multiset_count, s_rb_atoms, top_atoms
 from .stacks import CodeStack, MonteCarlo, s_rb_stack_exact, s_rb_stack_mc, top_entries
 
 DEFAULT_TOL = 1e-10
-# the multiset sum up to this many multisets of a repetition top's atom
-# table, the long-rep estimator past it: 19,329 estimator nodes x 9.0 ns /
-# 2.2 ns per multiset, fitted with a factor (20 + atoms) on both that
-# cancels.  Sum / estimator in ms (best of 31, one BLAS thread of a shared
-# 2-core host, depolarizing p = 0.0637): 7x12 2.2 / 2.4, 7x14 5.0 / 2.3,
-# 5x20 1.9 / 2.2, 5x23 4.4 / 2.0, 3x70 2.7 / 4.1, 3x110 10.3 / 4.2, 1x20000
-# 1.5 / 1.8; repX(3) x 5qubit x repZ(3) (56 atoms at p = 1e-3) 3.8 / 9.7
-SUM_MULTISETS = 79_073
 
 
 class NoThresholdError(RuntimeError):
@@ -160,8 +152,9 @@ def threshold(stack: CodeStack, family: ChannelFamily, tol: float = DEFAULT_TOL,
     the three error-bar evaluations included.  ``tol`` must be finite and
     positive; below the spacing of doubles the bracket ends adjacent, and
     the reported ``tol`` is the final bracket's width where that is larger.
-    A repetition top whose S_RB - 1 underflows to 0 (past m ~ 4,000 near
-    the threshold) raises NoThresholdError rather than solve on zeros.
+    A repetition top whose S_RB - 1 underflows to 0 near the threshold
+    (depolarizing: repZ(m) from m ~ 1,700, repX(3) x repZ(m) from ~4,600)
+    raises NoThresholdError rather than solve on zeros.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"threshold tolerance must be finite and positive, got {tol!r}")
@@ -180,9 +173,10 @@ def threshold(stack: CodeStack, family: ChannelFamily, tol: float = DEFAULT_TOL,
         ev = evaluate_s_rb(stack, family_eval(family, p))
         methods.add(ev.method)
         if atoms and ev.excess == 0.0:
+            engine = "long-rep estimator" if ev.method == "longrep" else "multiset sum"
             raise NoThresholdError(
-                f"S_RB - 1 underflows to 0 at p = {p:.6g}: its sign needs the "
-                "long-rep estimator in log form, which is not implemented")
+                f"S_RB - 1 underflows to 0 in the {engine} at p = {p:.6g}: its sign "
+                "needs the long-rep estimator in log form, which is not implemented")
         return ev.excess
 
     f_lo, f_hi = f(lo), f(hi)

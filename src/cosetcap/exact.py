@@ -22,6 +22,10 @@ error strings lands in the cell exhaustive enumeration would give it, at
 cost O(n 2^bits) per row: 13-qubit codes take under a millisecond and hold
 10+ significant digits in float64.
 
+A coset table is a plain (syndromes, classes) array per row: a transposed
+view of the class-major buffer the inverse transform writes, which
+``batched_s_rb``, the one entropy reduction of every engine, reads in place.
+
 Class-bit layout per logical qubit j: bit 2j is the commutation with
 logical X[j], bit 2j+1 with logical Z[j].  For k = 1 the class indices
 therefore read (I, Z, X, Y) = (0, 1, 2, 3).
@@ -30,9 +34,7 @@ therefore read (I, Z, X, Y) = (0, 1, 2, 3).
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,46 +64,6 @@ _E4 = np.array([[1.0, 1.0, 1.0, 1.0],
 
 class ExhaustiveLimitError(ValueError):
     """Code longer than EXHAUSTIVE_LIMIT qubits, the exact engine's limit."""
-
-
-@dataclass(frozen=True)
-class CosetTable:
-    """Probabilities of every (syndrome, logical-class) cell of a code.
-
-    probs[s, c] is the total probability of errors with syndrome index s
-    (generator commutation bits, generator 0 least significant) and
-    logical-class index c (layout above).  Rows sum to the normalizer-coset
-    probabilities P_T.
-    """
-
-    code_name: str
-    n: int
-    k: int
-    probs: np.ndarray
-
-    def syndrome_probs(self) -> np.ndarray:
-        return self.probs.sum(axis=1)
-
-    def check_invariants(self) -> None:
-        total = float(self.probs.sum())
-        if abs(total - 1.0) > 1e-10:
-            raise AssertionError(f"coset table mass {total!r} != 1")
-        if float(self.probs.min()) < -1e-14:
-            raise AssertionError("negative coset probability")
-
-    def to_json(self) -> str:
-        """Debug dump: syndrome hex key -> list of class probabilities."""
-        payload = {
-            "code": self.code_name,
-            "n": self.n,
-            "k": self.k,
-            "cells": {
-                format(s, "x"): [float(v) for v in row]
-                for s, row in enumerate(self.probs)
-                if row.any()
-            },
-        }
-        return json.dumps(payload, indent=1, sort_keys=True)
 
 
 @functools.lru_cache(maxsize=64)
@@ -195,32 +157,26 @@ def _batched_cells(code: StabilizerCode, chans: np.ndarray) -> np.ndarray:
     return _cells(code, spec)
 
 
-def coset_distribution(code: StabilizerCode, site_channels) -> CosetTable:
-    """Exact CosetTable of ``code`` under independent per-site channels.
+def coset_distribution(code: StabilizerCode, site_channels) -> np.ndarray:
+    """Exact coset table of ``code`` under independent per-site channels.
 
     ``site_channels`` is a sequence of ``code.n`` PauliChannel values (or
-    4-vectors in (I, X, Y, Z) order).
+    4-vectors in (I, X, Y, Z) order, checked as PauliChannel checks them).
+    Cell [s, c] is the total probability of errors with syndrome index s
+    (generator commutation bits, generator 0 least significant) and
+    logical-class index c (layout above); rows sum to the normalizer-coset
+    probabilities.
     """
     if len(site_channels) != code.n:
         raise ValueError(f"need {code.n} site channels, got {len(site_channels)}")
     site_probs = np.empty((code.n, 4))
     for i, ch in enumerate(site_channels):
-        site_probs[i] = ch.as_array() if isinstance(ch, PauliChannel) else np.asarray(ch)
+        site_probs[i] = (ch if isinstance(ch, PauliChannel) else PauliChannel(*ch)).as_array()
     pattern = _character_table(code)
     spec = np.ones((1, pattern.shape[1]))
     for vals, row in zip(site_probs @ _E4, pattern):
         spec[0] *= np.take(vals, row)
-    cells = _cells(code, spec)[0]
-    return CosetTable(code.name, code.n, code.k, np.ascontiguousarray(cells))
-
-
-def s_rb_exact(table: CosetTable) -> float:
-    """Entropy S_RB (bits) of a coset table.
-
-    Equals both the probability-weighted conditional class entropy and the
-    difference between the stabilizer-coset and normalizer-coset entropies.
-    """
-    return float(batched_s_rb(table.probs[None])[0])
+    return _cells(code, spec)[0]
 
 
 def _row_plogp(rows: np.ndarray) -> np.ndarray:
@@ -253,6 +209,6 @@ def batched_s_rb(cells: np.ndarray) -> np.ndarray:
 
 
 def s_rb_code(code: StabilizerCode, ch: PauliChannel) -> float:
-    """S_RB of a single code with the same channel on every qubit."""
-    table = coset_distribution(code, [ch] * code.n)
-    return s_rb_exact(table)
+    """S_RB (bits) of a code with the same channel on every qubit: the
+    stabilizer-coset entropy less the normalizer-coset entropy."""
+    return float(batched_s_rb(coset_distribution(code, [ch] * code.n)[None])[0])

@@ -53,8 +53,9 @@ estimates agree to _R_RTOL of the integral of |integrand| (the estimate
 itself, but for small m over a few widely spaced ln r, whose lobes
 cancel); it raises past _R_INTERVALS[1].  It converges geometrically:
 512 to 2,048 intervals near the thresholds, 8,192 for a bare repZ(101)
-at depolarizing p = 1e-6.  Past m ~ 4,000 near a threshold M(1/2)^m and
-M_2^m underflow and both sides read 0: the log form is not implemented.
+at depolarizing p = 1e-6.  Long enough tops underflow near a threshold:
+M(1/2)^m and M_2^m read 0, and so do both sides, from repX(3) x
+repZ(4577) at depolarizing p = 0.0622.  The log form is not implemented.
 """
 
 from __future__ import annotations

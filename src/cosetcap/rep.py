@@ -8,8 +8,9 @@ parity bit b; each has probability
     h^b_k = ((u+v)^k (s+t)^(n-k) + (-1)^b (u-v)^k (s-t)^(n-k)) / 2
 
 where for Z-type blocks (u, v, s, t) = (p_X, p_Y, p_I, p_Z) and for X-type
-blocks (p_Z, p_Y, p_I, p_X).  On the depolarizing channel this reduces to
-the f^e / f^o / g polynomials of the single-variable theory.
+blocks (p_Z, p_Y, p_I, p_X): ``block_table``, a (2, n+1) array [b, k].  On
+the depolarizing channel this reduces to the f^e / f^o / g polynomials of
+the single-variable theory (the tests' oracle writes those out).
 
 Its conditional logical channels follow in closed form, one per syndrome
 (``block_entries``).  A repetition top over any inner stack needs only the
@@ -22,7 +23,6 @@ concatenation (``s_rb_rep``) is the case of repetition inner blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -32,7 +32,15 @@ from .channels import PauliChannel
 # cells of one exact enumeration: count-table entries (multisets x parts)
 # of a multiset table, ordered assignments of a stack layer's product
 ASSIGNMENT_BUDGET = 100_000_000
-_SUM_BLOCK = 1 << 17  # multisets per block of s_rb_atoms; > capacity.SUM_MULTISETS
+# the multiset sum up to this many multisets of a repetition top's atom
+# table, the long-rep estimator past it: 19,329 estimator nodes x 9.0 ns /
+# 2.2 ns per multiset, fitted with a factor (20 + atoms) on both that
+# cancels.  Sum / estimator in ms (best of 31, one BLAS thread of a shared
+# 2-core host, depolarizing p = 0.0637): 7x12 2.2 / 2.4, 7x14 5.0 / 2.3,
+# 5x20 1.9 / 2.2, 5x23 4.4 / 2.0, 3x70 2.7 / 4.1, 3x110 10.3 / 4.2, 1x20000
+# 1.5 / 1.8; repX(3) x 5qubit x repZ(3) (56 atoms at p = 1e-3) 3.8 / 9.7
+SUM_MULTISETS = 79_073
+_SUM_BLOCK = 1 << 17  # multisets per block of s_rb_atoms and of a table; > SUM_MULTISETS
 _SUM_DIFF = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
@@ -47,41 +55,9 @@ def check_budget(cells: int, what: str) -> None:
         raise StackBudgetError(f"{what} exceed budget {ASSIGNMENT_BUDGET}")
 
 
-def fgh_eval(kind: str, n: int, k: int, x: float, y: float) -> float:
-    """The single-variable enumerators f^e, f^o and g_{k,n}."""
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} outside 0..{n}")
-    if kind == "f_e":
-        return 0.5 * ((x + y) ** n + (x - y) ** n)
-    if kind == "f_o":
-        return 0.5 * ((x + y) ** n - (x - y) ** n)
-    if kind == "g":
-        return 0.5 * (x + y) ** (n - k) * (2.0 * y) ** k
-    raise ValueError(f"unknown enumerator kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class BlockTable:
-    """h^b_{k,n} for one repetition block: shape (2, n+1) array indexed [b, k]."""
-
-    n: int
-    h: np.ndarray
-
-    def cell_weights(self) -> np.ndarray:
-        """Probability C(n,k) * h^b_k of landing in each (b, k) cell; sums to 1."""
-        comb = np.array([math.comb(self.n, k) for k in range(self.n + 1)], dtype=float)
-        return self.h * comb
-
-    def check_invariants(self) -> None:
-        if float(self.h.min()) < -1e-15:
-            raise AssertionError("negative block coset probability")
-        total = float(self.cell_weights().sum())
-        if abs(total - 1.0) > 1e-12:
-            raise AssertionError(f"block table mass {total!r} != 1")
-
-
-def block_table(n: int, stabilizer_type: str, ch: PauliChannel) -> BlockTable:
-    """Coset probabilities of an [[n,1]] repetition block under ``ch``."""
+def block_table(n: int, stabilizer_type: str, ch: PauliChannel) -> np.ndarray:
+    """Coset probabilities h^b_k of an [[n,1]] repetition block under
+    ``ch``, as a (2, n+1) array indexed [b, k]."""
     if n < 1:
         raise ValueError("block length must be >= 1")
     if stabilizer_type == "Z":
@@ -97,36 +73,7 @@ def block_table(n: int, stabilizer_type: str, ch: PauliChannel) -> BlockTable:
     h = 0.5 * (_SUM_DIFF @ terms)
     # clamp tiny negative residue from cancellation
     np.maximum(h, 0.0, out=h)
-    return BlockTable(n, h)
-
-
-def _f_even_odd(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
-    plus = float(np.prod(xs + ys))
-    minus = float(np.prod(xs - ys))
-    return 0.5 * (plus + minus), 0.5 * (plus - minus)
-
-
-def concat_rep_coset_probs(n: int, m: int, ch: PauliChannel,
-                           kvec, bvec) -> tuple[float, float, float, float]:
-    """Stabilizer-coset probabilities of one class of the n x m concatenation.
-
-    Inner blocks are X-type, the outer layer Z-type.  ``kvec`` holds each
-    block's unabsorbed support size, ``bvec`` its parity bit.  Returns the
-    probabilities of the coset itself and of its logical Z, X and Y
-    translates.
-    """
-    kvec = np.asarray(kvec, dtype=int)
-    bvec = np.asarray(bvec, dtype=int)
-    if kvec.shape != (m,) or bvec.shape != (m,):
-        raise ValueError(f"kvec/bvec must have length m={m}")
-    bt = block_table(n, "X", ch)
-    hk = bt.h[bvec, kvec]
-    hnk = bt.h[bvec, n - kvec]
-    hk_c = bt.h[1 - bvec, kvec]
-    hnk_c = bt.h[1 - bvec, n - kvec]
-    p_s, p_sz = _f_even_odd(hk, hnk)
-    p_sx, p_sy = _f_even_odd(hk_c, hnk_c)
-    return p_s, p_sz, p_sx, p_sy
+    return h
 
 
 def multiset_count(m: int, alphabet: int) -> int:
@@ -138,36 +85,47 @@ def multisets(total: int, parts: int) -> tuple[np.ndarray, np.ndarray]:
     multinomial coefficient ln(total! / prod counts!).
 
     The (count, parts) float rows of item counts are in lexicographic
-    order, first part slowest.  Both arrays are cached and read-only.
-    Raises StackBudgetError above ASSIGNMENT_BUDGET count cells, before
-    allocating any.
+    order, first part slowest.  Both arrays are read-only, and cached up to
+    SUM_MULTISETS multisets, the tables root solves reuse; larger ones are
+    built on every call.  Raises StackBudgetError above ASSIGNMENT_BUDGET
+    count cells, before allocating any.
     """
     count = multiset_count(total, parts)
     check_budget(count * parts, f"{count} multisets x {parts} entries")
-    return _multisets(total, parts)
+    return (_multisets if count <= SUM_MULTISETS else _multisets.__wrapped__)(total, parts)
 
 
 @lru_cache(maxsize=32)
 def _multisets(total: int, parts: int) -> tuple[np.ndarray, np.ndarray]:
     # place one part at a time: a row with ``left`` items still to place
-    # has children t = 0 .. left in order; then read each column back
-    # through the chain of parents
+    # has children t = 0 .. left, in order.  The last level is the table,
+    # built block by block with no table-sized temporary: each row finds
+    # its parent by where the parents' children start, and the first
+    # parts - 2 columns are read back through the chain of parents
     left, steps = np.array([total]), []
-    for _ in range(parts - 1):
+    for _ in range(parts - 2):
         parent = np.repeat(np.arange(left.size), left + 1)
         t = np.arange(parent.size) - (np.cumsum(left + 1) - left - 1)[parent]
         left = left[parent] - t
         steps.append((parent, t))
-    counts = np.empty((left.size, parts), dtype=np.intp)
-    counts[:, -1] = left
-    row = np.arange(left.size)
-    for j in range(parts - 2, -1, -1):
-        parent, t = steps[j]
-        counts[:, j] = t[row]
-        row = parent[row]
+    first = np.cumsum(left + 1) - left - 1
+    count = multiset_count(total, parts)
+    counts, log_coeff = np.empty((count, parts)), np.empty(count)
     log_fact = np.array([math.lgamma(i + 1.0) for i in range(total + 1)])
-    log_coeff = log_fact[total] - log_fact[counts].sum(axis=1)
-    counts = counts.astype(np.float64)
+    for lo in range(0, count, _SUM_BLOCK):
+        rows = np.arange(lo, min(lo + _SUM_BLOCK, count))
+        block = np.empty((rows.size, parts), dtype=np.intp)
+        row = np.searchsorted(first, rows, side="right") - 1  # each one's parent
+        t = rows - first[row]
+        block[:, -1] = left[row] - t
+        if parts > 1:
+            block[:, -2] = t
+        for j in range(parts - 3, -1, -1):
+            parent, t = steps[j]
+            block[:, j] = t[row]
+            row = parent[row]
+        counts[lo:lo + rows.size] = block
+        log_coeff[lo:lo + rows.size] = log_fact[total] - log_fact[block].sum(axis=1)
     counts.flags.writeable = log_coeff.flags.writeable = False
     return counts, log_coeff
 
@@ -179,7 +137,7 @@ def block_entries(n: int, stabilizer_type: str, ch: PauliChannel):
     the entry is (h^0_k, h^1_k, h^1_{n-k}, h^0_{n-k}) / a with weight
     C(n,k) a, halved at k = n/2; a Z-type block swaps X and Z on both sides.
     """
-    h = block_table(n, stabilizer_type, ch).h
+    h = block_table(n, stabilizer_type, ch)
     half = n // 2 + 1
     near, far = h[:, :half], h[:, ::-1][:, :half]  # cells k and n-k, rows b
     joint = np.vstack([near, far[::-1]]).T * _fold_comb(n)

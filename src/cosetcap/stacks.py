@@ -128,13 +128,6 @@ class EffectiveChannelSet:
     weights: np.ndarray   # (E,)
     channels: np.ndarray  # (E, 4) in (I, X, Y, Z) order
 
-    def check_invariants(self) -> None:
-        if abs(float(self.weights.sum()) - 1.0) > 1e-10:
-            raise AssertionError("effective-set weights do not sum to 1")
-        rows = self.channels.sum(axis=1)
-        if np.abs(rows - 1.0).max() > 1e-9:
-            raise AssertionError("effective channel row not normalized")
-
 
 # translations of a conditional channel by a logical I/X/Y/Z: relabeling a
 # block's logical error by a fixed Pauli permutes the outer code's cosets

@@ -14,6 +14,15 @@ def random_channels(count, seed=0, alpha=(2.0, 1.0, 1.0, 1.0)):
     return out
 
 
+def assert_probabilities(probs, tol, axis=None):
+    """No entry below -1e-14, and sums along ``axis`` (over everything by
+    default) within ``tol`` of 1."""
+    probs = np.asarray(probs)
+    assert float(probs.min()) >= -1e-14, "negative probability"
+    total = probs.sum(axis=axis)
+    assert float(np.abs(total - 1.0).max()) <= tol, f"mass {total!r} != 1"
+
+
 @pytest.fixture
 def channels25():
     return random_channels(25, seed=20240811)

@@ -30,6 +30,11 @@ Under the independent X/Z channel the X and Z parts factor:
 
 ``s_rb_enumerated`` checks that formula by summing over every x- and
 z-string for N = n m <= 12.
+
+The closed-form coset probabilities of repetition blocks and of the
+n x m concatenation (``rep_block_cosets``, ``fgh_eval``,
+``concat_rep_coset_probs``) are evaluated here too, at ``DPS`` digits and
+returned as floats, for the tests that hold the engines' tables to them.
 """
 
 from __future__ import annotations
@@ -191,6 +196,67 @@ def rep_concat_threshold(n, m, bracket=(0.10, 0.13)):
     """Independent X/Z threshold of repX(n) x repZ(m): S_RB(p) = 1."""
     with mp.workdps(DPS):
         return _root(lambda p: s_rb_rep_concat(n, m, p) - 1, *bracket)
+
+
+# --- repetition-block coset probabilities ------------------------------------
+
+def fgh_eval(kind, n, k, x, y):
+    """The single-variable enumerators f^e, f^o and g_{k,n} of an [[n,1]]
+    repetition block (x = 1 - 3p, y = p on the depolarizing channel)."""
+    if not 0 <= k <= n:
+        raise ValueError(f"k={k} outside 0..{n}")
+    with mp.workdps(DPS):
+        x, y = _mpf(x), _mpf(y)
+        if kind == "f_e":
+            return float(((x + y) ** n + (x - y) ** n) / 2)
+        if kind == "f_o":
+            return float(((x + y) ** n - (x - y) ** n) / 2)
+        if kind == "g":
+            return float((x + y) ** (n - k) * (2 * y) ** k / 2)
+    raise ValueError(f"unknown enumerator kind {kind!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def rep_block_cosets(n, stabilizer_type, channel):
+    """h[b][k] of an [[n,1]] repetition block under an (I, X, Y, Z) channel:
+
+        h^b_k = ((u+v)^k (s+t)^(n-k) + (-1)^b (u-v)^k (s-t)^(n-k)) / 2
+
+    with (u, v, s, t) = (p_X, p_Y, p_I, p_Z) for Z-type blocks and
+    (p_Z, p_Y, p_I, p_X) for X-type blocks.  Entries are mpf.
+    """
+    with mp.workdps(DPS):
+        p_i, p_x, p_y, p_z = (_mpf(x) for x in channel)
+        u, v, s, t = (p_x, p_y, p_i, p_z) if stabilizer_type == "Z" else (p_z, p_y, p_i, p_x)
+        return tuple(tuple(((u + v) ** k * (s + t) ** (n - k)
+                            + sign * (u - v) ** k * (s - t) ** (n - k)) / 2
+                           for k in range(n + 1))
+                     for sign in (1, -1))
+
+
+def _f_even_odd(xs, ys):
+    plus, minus = mp.fprod(x + y for x, y in zip(xs, ys)), mp.fprod(x - y for x, y in zip(xs, ys))
+    return (plus + minus) / 2, (plus - minus) / 2
+
+
+def concat_rep_coset_probs(n, m, channel, kvec, bvec):
+    """Stabilizer-coset probabilities of one class of repX(n) x repZ(m)
+    under an (I, X, Y, Z) channel.
+
+    Inner blocks are X-type, the outer layer Z-type.  ``kvec`` holds each
+    block's unabsorbed support size, ``bvec`` its parity bit.  Returns the
+    probabilities of the coset itself and of its logical Z, X and Y
+    translates, as floats.
+    """
+    if len(kvec) != m or len(bvec) != m:
+        raise ValueError(f"kvec/bvec must have length m={m}")
+    h = rep_block_cosets(n, "X", tuple(channel))
+    with mp.workdps(DPS):
+        p_s, p_sz = _f_even_odd([h[b][k] for k, b in zip(kvec, bvec)],
+                                [h[b][n - k] for k, b in zip(kvec, bvec)])
+        p_sx, p_sy = _f_even_odd([h[1 - b][k] for k, b in zip(kvec, bvec)],
+                                 [h[1 - b][n - k] for k, b in zip(kvec, bvec)])
+        return float(p_s), float(p_sz), float(p_sx), float(p_sy)
 
 
 # --- repX(n) x repZ(m) under any Pauli channel, S_RB - 1 ----------------------

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from cosetcap import (ChannelFamily, CodeStack, MonteCarlo, block_table,
-                      compose_stack, concat_rep_coset_probs, family_eval,
+                      compose_stack, family_eval,
                       hashing_point, make_repetition_code,
                       nonadditivity_at_hashing, optimize_channel,
                       parse_stack_spec, registry_get, s_rb_estimate, s_rb_rep, s_rb_stack_exact,
@@ -29,6 +29,7 @@ from cosetcap.capacity import evaluate_s_rb
 from cosetcap.exact import coset_distribution
 from cosetcap.tables import load_manifest
 from conftest import random_channels
+from oracle import concat_rep_coset_probs
 from xor_reference import gather_s_rb
 
 DEPOL = ChannelFamily("depolarizing")
@@ -178,10 +179,9 @@ def test_criterion5_block_tables_match_exact_engine(channels25):
         for n in range(1, 7):
             for typ in ("Z", "X"):
                 code = make_repetition_code(n, typ)
-                cells = np.sort(coset_distribution(code, [ch] * n).probs.ravel())
-                bt = block_table(n, typ, ch)
+                cells = np.sort(coset_distribution(code, [ch] * n).ravel())
                 closed = np.sort(np.repeat(
-                    bt.h.ravel(),
+                    block_table(n, typ, ch).ravel(),
                     np.tile([math.comb(n, k) for k in range(n + 1)], 2)))
                 worst = max(worst, float(np.abs(cells - closed).max()))
     print(f"[acceptance] {'PASS' if worst <= 1e-12 else 'FAIL'} c5 block tables: "
@@ -198,12 +198,12 @@ def test_criterion5_concat_3x3_matches_exact_engine(channels25):
     worst = 0.0
     for ch in named + channels25:
         cells = np.sort(np.repeat(
-            coset_distribution(code, [ch] * 9).probs.ravel(), 2 ** (m - 1)))
+            coset_distribution(code, [ch] * 9).ravel(), 2 ** (m - 1)))
         closed = []
         for kvec in itertools.product(range(n + 1), repeat=m):
             mult = int(np.prod([math.comb(n, k) for k in kvec]))
             for bvec in itertools.product((0, 1), repeat=m):
-                p_s = concat_rep_coset_probs(n, m, ch, kvec, bvec)[0]
+                p_s = concat_rep_coset_probs(n, m, ch.as_array(), kvec, bvec)[0]
                 closed.extend([p_s] * mult)
         worst = max(worst, float(np.abs(np.sort(np.array(closed)) - cells).max()))
     print(f"[acceptance] {'PASS' if worst <= 1e-12 else 'FAIL'} c5 concat 3x3: "

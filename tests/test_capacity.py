@@ -212,6 +212,18 @@ def test_evaluate_dispatch_reports_methods():
     assert evaluate_s_rb(parse_stack_spec("repZ(5) x 5qubit"), ch).method == "grouped"
 
 
+@pytest.mark.parametrize("name", [name for name in registry_names()
+                                  if rep_type_of(registry_get(name)) is None])
+def test_single_layer_batch_is_bit_identical_to_the_scalar_path(name):
+    # the optimizer's batched Q must be what nonadditivity_at_hashing
+    # reproduces through s_rb_code, to the last bit
+    stack = CodeStack((registry_get(name),))
+    for family in (DEPOL, INDXZ, TWOP):
+        chans = [family_eval(family, p) for p in (1e-3, 0.06, 0.11)]
+        got = evaluate_s_rb_batch(stack, np.array([ch.as_array() for ch in chans]))
+        assert got.tolist() == [evaluate_s_rb(stack, ch).excess for ch in chans]
+
+
 @pytest.mark.parametrize("spec", ["", "5qubit", "steane", "repZ(4)", "repX(7)",
                                   "repZ(3) x repX(3)"])
 def test_batch_matches_per_row_evaluation(spec):

@@ -246,14 +246,20 @@ def _python_m(*argv):
                           text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path))
 
 
-def test_import_loads_no_scipy():
-    # scipy serves only the tests; importing the library must not load it
+def test_library_loads_neither_scipy_nor_mpmath():
+    # numpy is the one runtime dependency; scipy and mpmath serve only the
+    # tests, so importing the library and solving a threshold must load
+    # neither of them
     src = str(Path(cosetcap.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, "-c",
-                          "import sys, cosetcap; sys.exit('scipy' in sys.modules)"],
+    script = ("import sys, cosetcap\n"
+              "cosetcap.threshold(cosetcap.parse_stack_spec('5qubit'),\n"
+              "                   cosetcap.parse_channel_spec('depol'))\n"
+              "print(sorted({'scipy', 'mpmath'} & {m.split('.')[0] for m in sys.modules}))")
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          timeout=300, env=dict(os.environ, PYTHONPATH=path))
-    assert res.returncode == 0
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_long_innermost_repetition_layer_has_a_threshold(capsys):

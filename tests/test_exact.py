@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,9 +5,9 @@ import pytest
 
 from cosetcap import (ChannelFamily, PauliChannel, PauliString, classify,
                       coset_distribution, custom_family, family_eval,
-                      registry_get, registry_names, s_rb_code, s_rb_exact)
+                      registry_get, registry_names, s_rb_code)
 from cosetcap.exact import CLASS_OF_LETTER, ExhaustiveLimitError
-from conftest import random_channels
+from conftest import assert_probabilities, random_channels
 from xor_reference import gather_s_rb
 
 DEPOL = ChannelFamily("depolarizing")
@@ -51,9 +50,9 @@ def test_table_matches_brute_force(name):
     chans[0] = PauliChannel(*(v / v.sum()))
     for site_channels in (chans, [PauliChannel(1, 0, 0, 0)] * code.n):
         table = coset_distribution(code, site_channels)
-        table.check_invariants()
+        assert_probabilities(table, 1e-10)
         want = enumerated_table(code, site_channels)
-        assert np.abs(table.probs - want).max() <= 1e-13
+        assert np.abs(table - want).max() <= 1e-13
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)
@@ -70,17 +69,18 @@ def test_table_invariants_all_registry():
     for name in ("steane", "biased9", "toric822", "tailored713H", "11qubit"):
         code = registry_get(name)
         table = coset_distribution(code, [ch] * code.n)
-        table.check_invariants()
-        synd = table.syndrome_probs()
-        # per-syndrome class masses add back to the syndrome mass
-        assert np.allclose(table.probs.sum(axis=1), synd, atol=1e-12)
+        assert_probabilities(table, 1e-10)
+        # a view of the class-major buffer of the inverse transform, which
+        # batched_s_rb reads without a copy
+        assert table.shape == (2 ** len(code.generators), 4 ** code.k)
+        assert table.base is not None and table.T.flags.c_contiguous
 
 
 def test_noiseless_table_trivial():
     code = registry_get("5qubit")
     table = coset_distribution(code, [PauliChannel(1, 0, 0, 0)] * 5)
-    assert table.probs[0, 0] == pytest.approx(1.0)
-    assert s_rb_exact(table) == pytest.approx(0.0, abs=1e-14)
+    assert table[0, 0] == pytest.approx(1.0)
+    assert s_rb_code(code, PauliChannel(1, 0, 0, 0)) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_identity_coset_closed_form_rep3():
@@ -89,7 +89,7 @@ def test_identity_coset_closed_form_rep3():
     p = 0.07
     table = coset_distribution(registry_get("repZ(3)"), [family_eval(DEPOL, p)] * 3)
     expected = (1 - 3 * p) ** 3 + 3 * p * p * (1 - 3 * p)
-    assert table.probs[0, 0] == pytest.approx(expected, rel=1e-13)
+    assert table[0, 0] == pytest.approx(expected, rel=1e-13)
 
 
 def test_s_rb_two_forms_agree(channels25):
@@ -97,15 +97,15 @@ def test_s_rb_two_forms_agree(channels25):
         code = registry_get(name)
         for ch in channels25[:6]:
             table = coset_distribution(code, [ch] * code.n)
-            direct = s_rb_exact(table)
+            direct = s_rb_code(code, ch)
             # conditional form: sum_T P_T H(classes | T)
-            synd = table.syndrome_probs()
+            synd = table.sum(axis=1)
             cond = 0.0
-            for s in range(table.probs.shape[0]):
+            for s in range(table.shape[0]):
                 if synd[s] <= 0.0:
                     continue
-                for c in range(table.probs.shape[1]):
-                    p = table.probs[s, c]
+                for c in range(table.shape[1]):
+                    p = table[s, c]
                     if p > 0.0:
                         cond -= p * math.log2(p / synd[s])
             assert direct == pytest.approx(cond, abs=1e-12)
@@ -117,10 +117,11 @@ def test_entropy_reduction_matches_xlogy():
         code = registry_get(name)
         for family in (DEPOL, ChannelFamily("two_pauli")):
             for p in (0.0, 1e-6, 0.06, 0.2):
-                table = coset_distribution(code, [family_eval(family, p)] * code.n)
-                cells, synd = table.probs, table.syndrome_probs()
+                ch = family_eval(family, p)
+                cells = coset_distribution(code, [ch] * code.n)
+                synd = cells.sum(axis=1)
                 ref = (xlogy(synd, synd).sum() - xlogy(cells, cells).sum()) / math.log(2.0)
-                assert s_rb_exact(table) == pytest.approx(ref, abs=1e-14)
+                assert s_rb_code(code, ch) == pytest.approx(ref, abs=1e-14)
 
 
 def test_exhaustive_limit():
@@ -132,6 +133,18 @@ def test_exhaustive_limit():
 def test_site_channel_count_checked():
     with pytest.raises(ValueError):
         coset_distribution(registry_get("5qubit"), [family_eval(DEPOL, 0.05)] * 4)
+
+
+def test_raw_site_rows_are_checked_as_channels():
+    # a 4-vector row is read as PauliChannel reads it: one that does not sum
+    # to 1, or has a negative entry, is refused rather than tabulated
+    code = registry_get("5qubit")
+    for row in ((0.5, 0.2, 0.1, 0.1), (1.1, -0.1, 0.0, 0.0)):
+        with pytest.raises(ValueError):
+            coset_distribution(code, [row] * 5)
+    chans = random_channels(5, seed=5)
+    assert np.array_equal(coset_distribution(code, [ch.as_array() for ch in chans]),
+                          coset_distribution(code, chans))
 
 
 def test_422_s_rb_reaches_two_at_threshold():
@@ -156,9 +169,9 @@ def test_swap_xz_invariance_on_symmetric_channels(channels25):
                 pytest.approx(s_rb_code(code, ch), abs=1e-12)
     # repX/repZ produce identical tables up to relabeling
     a = sorted(coset_distribution(registry_get("repZ(3)"),
-                                  [family_eval(DEPOL, 0.06)] * 3).probs.ravel())
+                                  [family_eval(DEPOL, 0.06)] * 3).ravel())
     b = sorted(coset_distribution(registry_get("repX(3)"),
-                                  [family_eval(DEPOL, 0.06)] * 3).probs.ravel())
+                                  [family_eval(DEPOL, 0.06)] * 3).ravel())
     assert np.allclose(a, b, atol=1e-15)
 
 
@@ -181,17 +194,7 @@ def test_per_site_channels_are_first_class():
     code = registry_get("repZ(3)")
     chans = random_channels(3, seed=99)
     table = coset_distribution(code, chans)
-    assert np.abs(table.probs - enumerated_table(code, chans)).max() <= 1e-14
-
-
-def test_json_dump():
-    code = registry_get("repZ(3)")
-    table = coset_distribution(code, [family_eval(DEPOL, 0.05)] * 3)
-    payload = json.loads(table.to_json())
-    assert payload["code"] == "repZ(3)"
-    total = sum(sum(row) for row in payload["cells"].values())
-    assert total == pytest.approx(1.0, abs=1e-10)
-    assert set(payload["cells"]) == {"0", "1", "2", "3"}
+    assert np.abs(table - enumerated_table(code, chans)).max() <= 1e-14
 
 
 def test_class_letter_permutation_is_consistent():

@@ -33,7 +33,7 @@ def test_qr_against_block_table():
     # the folded rows, rebuilt group by group from the block table
     ch = family_eval(DEPOL, 0.06)
     for n in (4, 5):
-        h = block_table(n, "X", ch).h
+        h = block_table(n, "X", ch)
         want = []
         for k in range(n // 2 + 1):
             for b in (0, 1):
@@ -65,7 +65,7 @@ def test_qr_even_block_midpoint_is_zero():
 def _block_atoms(n, ch):
     """Block table h, h-sums a = h_k + h_{n-k}, cell weights w and the mask
     of cells with w > 0."""
-    h = block_table(n, "X", ch).h
+    h = block_table(n, "X", ch)
     comb = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
     w = (h * comb).ravel() / (h * comb).sum()
     return h, h + h[:, ::-1], w, w > 0.0
@@ -177,7 +177,7 @@ def test_signed_distribution_invariants():
         for p in (1e-3, 0.06, 0.2):
             for n in (2, 3, 5):
                 ch = family_eval(fam, p)
-                cells = block_table(n, "X", ch).cell_weights()
+                cells = block_table(n, "X", ch) * [math.comb(n, k) for k in range(n + 1)]
                 w, absq, _ = _atoms(n, ch).T
                 assert w.size == 2 * (n // 2 + 1)  # every group live
                 for i, (k, b) in enumerate((k, b) for k in range(n // 2 + 1)
@@ -342,19 +342,25 @@ def test_long_top_threshold_by_multiset_sum(m):
     def excess(p):
         return s_rb_atoms(_atoms(3, family_eval(DEPOL, p)), m)
 
+    cached = _multisets.cache_info().currsize
     lo, hi = GATE_BRACKET
     lo, hi, _ = bracketed_root(excess, lo, hi, 1e-11, excess(lo), excess(hi))
-    _multisets.cache_clear()  # ~60 MB of count rows at m = 201
+    # past SUM_MULTISETS the count table is built on every call, not kept
+    assert _multisets.cache_info().currsize == cached
     got = threshold(parse_stack_spec(f"repX(3) x repZ({m})"), DEPOL, bracket=GATE_BRACKET)
     assert got.method == "longrep"
     assert 0.5 * (lo + hi) == pytest.approx(got.p_star, abs=1e-9)
 
 
 def test_underflowing_top_refuses_a_threshold():
-    # past m ~ 4,000 M(1/2)^m and M_2^m underflow, and S_RB - 1 reads
-    # exactly 0 over the middle of the bracket: no root is returned
-    with pytest.raises(NoThresholdError, match="log form"):
+    # from m = 4,577 (at p = 0.0622) M(1/2)^m and M_2^m underflow, and
+    # S_RB - 1 reads exactly 0 over the middle of the bracket: no root is
+    # returned.  A bare repZ(m) reads 0 on the multiset sum from m = 1,745
+    # (at p = 0.0607), and the error names the engine that returned it
+    with pytest.raises(NoThresholdError, match="in the long-rep estimator .* log form"):
         threshold(parse_stack_spec("repX(3) x repZ(5001)"), DEPOL, bracket=GATE_BRACKET)
+    with pytest.raises(NoThresholdError, match="in the multiset sum .* log form"):
+        threshold(parse_stack_spec("repZ(2001)"), DEPOL, bracket=GATE_BRACKET)
 
 
 def _oracle_excess(spec, p):

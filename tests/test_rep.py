@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cosetcap import (ChannelFamily, CodeStack, block_table, compose_stack,
-                      concat_rep_coset_probs, family_eval, fgh_eval,
-                      make_repetition_code, registry_get, s_rb_code, s_rb_rep)
+                      family_eval, make_repetition_code, registry_get, s_rb_code, s_rb_rep)
 from cosetcap.capacity import evaluate_s_rb
 from cosetcap.exact import coset_distribution
 from cosetcap.rep import (StackBudgetError, _multisets, block_entries, multiset_count,
                           multisets, s_rb_atoms, top_atoms)
-from conftest import random_channels
+from conftest import assert_probabilities, random_channels
+from oracle import concat_rep_coset_probs, fgh_eval
 
 DEPOL = ChannelFamily("depolarizing")
 FAMILIES = [ChannelFamily("depolarizing"), ChannelFamily("independent_xz"),
@@ -41,17 +41,17 @@ def test_block_table_depolarizing_reduces_to_closed_forms():
     ch = family_eval(DEPOL, p)
     x, y = 1 - 3 * p, p
     for typ in ("Z", "X"):
-        bt = block_table(5, typ, ch)
-        assert bt.h[0, 0] == pytest.approx(fgh_eval("f_e", 5, 0, x, y), rel=1e-14)
-        assert bt.h[1, 0] == pytest.approx(fgh_eval("f_o", 5, 0, x, y), rel=1e-14)
+        h = block_table(5, typ, ch)
+        assert h[0, 0] == pytest.approx(fgh_eval("f_e", 5, 0, x, y), rel=1e-14)
+        assert h[1, 0] == pytest.approx(fgh_eval("f_o", 5, 0, x, y), rel=1e-14)
         for k in range(1, 6):
             for b in (0, 1):
-                assert bt.h[b, k] == pytest.approx(fgh_eval("g", 5, k, x, y), rel=1e-13)
+                assert h[b, k] == pytest.approx(fgh_eval("g", 5, k, x, y), rel=1e-13)
 
 
 def _exact_block_cells(n, typ, ch):
     code = make_repetition_code(n, typ)
-    return sorted(coset_distribution(code, [ch] * n).probs.ravel())
+    return sorted(coset_distribution(code, [ch] * n).ravel())
 
 
 @pytest.mark.parametrize("typ", ["Z", "X"])
@@ -59,10 +59,10 @@ def test_block_table_vs_exact_engine(typ, channels25):
     fam_points = [family_eval(f, p) for f in FAMILIES for p in (0.03, 0.09)]
     for ch in fam_points + channels25:
         for n in range(1, 7):
-            bt = block_table(n, typ, ch)
-            bt.check_invariants()
+            h = block_table(n, typ, ch)
+            assert_probabilities(h * [math.comb(n, k) for k in range(n + 1)], 1e-12)
             closed = sorted(
-                bt.h[b, k]
+                h[b, k]
                 for k in range(n + 1) for b in (0, 1)
                 for _ in range(math.comb(n, k)))
             exact = _exact_block_cells(n, typ, ch)
@@ -71,25 +71,25 @@ def test_block_table_vs_exact_engine(typ, channels25):
 
 def test_concat_probs_m1_degenerates_to_block_table():
     ch = family_eval(DEPOL, 0.05)
-    bt = block_table(4, "X", ch)
+    h = block_table(4, "X", ch)
     for k in range(5):
         for b in (0, 1):
-            ps = concat_rep_coset_probs(4, 1, ch, [k], [b])
-            assert ps[0] == pytest.approx(bt.h[b, k], rel=1e-13)
-            assert ps[1] == pytest.approx(bt.h[b, 4 - k], rel=1e-13)
-            assert ps[2] == pytest.approx(bt.h[1 - b, k], rel=1e-13)
-            assert ps[3] == pytest.approx(bt.h[1 - b, 4 - k], rel=1e-13)
+            ps = concat_rep_coset_probs(4, 1, ch.as_array(), [k], [b])
+            assert ps[0] == pytest.approx(h[b, k], rel=1e-13)
+            assert ps[1] == pytest.approx(h[b, 4 - k], rel=1e-13)
+            assert ps[2] == pytest.approx(h[1 - b, k], rel=1e-13)
+            assert ps[3] == pytest.approx(h[1 - b, 4 - k], rel=1e-13)
 
 
 def test_concat_probs_normalizer_identity():
     ch = family_eval(DEPOL, 0.08)
     n, m = 3, 3
-    bt = block_table(n, "X", ch)
+    h = block_table(n, "X", ch)
     kvec = [0, 0, 0]
     bvec = [0, 0, 0]
-    ps = concat_rep_coset_probs(n, m, ch, kvec, bvec)
+    ps = concat_rep_coset_probs(n, m, ch.as_array(), kvec, bvec)
     lhs = sum(ps)
-    rhs = np.prod([bt.h[0, 0] + bt.h[0, n]] * m) + np.prod([bt.h[1, 0] + bt.h[1, n]] * m)
+    rhs = np.prod([h[0, 0] + h[0, n]] * m) + np.prod([h[1, 0] + h[1, n]] * m)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -101,12 +101,12 @@ def test_concat_probs_match_composed_code(channels25):
     code = compose_stack(stack)
     for ch in [family_eval(f, 0.07) for f in FAMILIES] + channels25[:5]:
         table = coset_distribution(code, [ch] * code.n)
-        cells = np.sort(np.repeat(table.probs.ravel(), 2 ** (m - 1)))
+        cells = np.sort(np.repeat(table.ravel(), 2 ** (m - 1)))
         closed = []
         for kvec in itertools.product(range(n + 1), repeat=m):
             mult = int(np.prod([math.comb(n, k) for k in kvec]))
             for bvec in itertools.product((0, 1), repeat=m):
-                p_s = concat_rep_coset_probs(n, m, ch, kvec, bvec)[0]
+                p_s = concat_rep_coset_probs(n, m, ch.as_array(), kvec, bvec)[0]
                 closed.extend([p_s] * mult)
         closed = np.sort(np.array(closed))
         assert closed.shape == cells.shape
@@ -115,7 +115,7 @@ def test_concat_probs_match_composed_code(channels25):
 
 def test_concat_probs_shape_check():
     with pytest.raises(ValueError):
-        concat_rep_coset_probs(3, 3, family_eval(DEPOL, 0.05), [0, 0], [0, 0, 0])
+        concat_rep_coset_probs(3, 3, family_eval(DEPOL, 0.05).as_array(), [0, 0], [0, 0, 0])
 
 
 @pytest.mark.parametrize("nm", [(3, 3), (2, 4), (4, 2), (5, 2), (2, 5), (1, 6), (6, 1)])
@@ -169,19 +169,23 @@ def test_s_rb_rep_budget():
 
 
 def test_multiset_sum_temporaries_are_blocked():
-    # 3x201: C(204, 3) = 1.4M multisets of four atoms.  With the count table
-    # cached, the sum's temporaries (~89 B per multiset) are held for one
-    # block of multisets at a time, not for all of them (124 MB)
+    # 3x201: C(204, 3) = 1.4M multisets of four atoms, past SUM_MULTISETS,
+    # so the count table is built on every call and not cached.  Beside the
+    # table itself, the build's and the sum's temporaries (~89 B per
+    # multiset in the sum) are held for one block of multisets at a time,
+    # not for all of them (124 MB)
     rows = top_atoms(*block_entries(3, "X", family_eval(DEPOL, 0.0628)), "Z")
-    multisets(201, rows.shape[0])
+    # float64 count rows (count, 4) and log coefficients (count,)
+    table_bytes = 8 * multiset_count(201, 4) * (4 + 1)
+    cached = _multisets.cache_info().currsize
     tracemalloc.start()
     try:
         s_rb_atoms(rows, 201)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        _multisets.cache_clear()  # ~56 MB of count rows
-    assert peak < 20e6
+    assert _multisets.cache_info().currsize == cached
+    assert peak < table_bytes + 20e6
 
 
 def test_published_concatenated_threshold_values():

@@ -17,6 +17,7 @@ from cosetcap.exact import (_E4, _WHT_BLOCK, _cells, _character_table, _inverse_
 from cosetcap.longrep import s_rb_estimate_atoms
 from cosetcap.pauli import PauliString
 from cosetcap.stacks import StackBudgetError, _canonical_rows, _orbit_labels, _orbit_table
+from conftest import assert_probabilities
 from mc_reference import s_rb_stack_mc_rows
 from xor_reference import gather_s_rb, letter_masks
 
@@ -57,7 +58,8 @@ def test_inner_layers_must_be_k1():
 
 def test_effective_channels_rep3_groups():
     es = effective_channels(registry_get("repZ(3)"), CH06)
-    es.check_invariants()
+    assert_probabilities(es.weights, 1e-10)
+    assert_probabilities(es.channels, 1e-9, axis=1)
     assert len(es.weights) == 2
     # trivial syndrome = X-support empty or full; the three nontrivial
     # syndromes share a single conditional channel class
@@ -74,7 +76,8 @@ def test_effective_channels_noiseless():
 
 def test_effective_channels_five_qubit_structure():
     es = effective_channels(registry_get("5qubit"), CH06)
-    es.check_invariants()
+    assert_probabilities(es.weights, 1e-10)
+    assert_probabilities(es.channels, 1e-9, axis=1)
     # 16 syndromes collapse to the trivial one plus one equivalence class
     assert len(es.weights) == 2
     assert np.all(es.channels >= 0)
@@ -89,7 +92,8 @@ def test_effective_channels_drop_round_off_syndromes(name, count):
     code = registry_get(name)
     es = effective_channels(code, PauliChannel(0.9, 0.1, 0.0, 0.0))
     assert len(es.weights) == count
-    es.check_invariants()
+    assert_probabilities(es.weights, 1e-10)
+    assert_probabilities(es.channels, 1e-9, axis=1)
 
 
 def test_effective_channels_requires_k1():

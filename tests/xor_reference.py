@@ -5,7 +5,8 @@ and logicals and builds the distribution of the (syndrome, logical-class)
 bit vector site by site: each letter moves its probability from cell u to
 cell u ^ mask, where mask holds the classification bits the letter flips
 on that site.  The library computes the same tables in the Walsh domain.
-Cell layout matches ``cosetcap.exact.CosetTable``.
+Tables are (syndromes, classes) arrays in the layout of
+``cosetcap.exact.coset_distribution``.
 """
 
 from __future__ import annotations
