@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (ChannelFamily, PauliChannel, bracketed_root, channel_entropy,
-                       entropy_peak, family_eval, hashing_point)
+from .channels import (_NEG_TOL, _SUM_TOL, ChannelFamily, PauliChannel, bracketed_root,
+                       channel_entropy, entropy_peak, family_eval, hashing_point)
 from .codes import rep_type_of
 from .exact import _batched_cells, batched_s_rb, s_rb_code
 from .longrep import s_rb_estimate_atoms
@@ -83,8 +83,7 @@ def evaluate_s_rb(stack: CodeStack, ch: PauliChannel) -> Evaluation:
         return Evaluation(est - k, k, "mc", std_error=se)
     top_type = rep_type_of(stack.layers[-1])
     if top_type is not None:
-        entries = top_entries(stack, ch)
-        rows = top_atoms(entries.weights, entries.channels, top_type)
+        rows = top_atoms(*top_entries(stack, ch), top_type)
         return _evaluate_atoms(rows, stack.layers[-1].n)
     if len(stack.layers) == 1:
         return Evaluation(s_rb_code(stack.layers[0], ch) - k, k, "exact")
@@ -97,7 +96,12 @@ def evaluate_s_rb_batch(stack: CodeStack, chans: np.ndarray) -> np.ndarray:
     A single Walsh layer goes through the Walsh engine, and a single
     repetition layer within SUM_MULTISETS through the multiset sum, once
     for all rows.  Every other stack runs ``evaluate_s_rb`` row by row.
+    Every row must be a channel by ``PauliChannel``'s rule, or ValueError.
     """
+    bad = (chans < -_NEG_TOL).any(axis=1) | (np.abs(chans.sum(axis=1) - 1.0) > _SUM_TOL)
+    if bad.any():
+        row = chans[int(np.argmax(bad))].tolist()
+        raise ValueError(f"channel row {row} has a negative probability or a sum other than 1")
     if len(stack.layers) == 1 and not isinstance(stack.strategy, MonteCarlo):
         top = stack.layers[0]
         top_type = rep_type_of(top)
@@ -114,17 +118,7 @@ def evaluate_s_rb_batch(stack: CodeStack, chans: np.ndarray) -> np.ndarray:
 
 def rate(stack: CodeStack, family: ChannelFamily, p: float) -> float:
     """Coherent-information rate (k - S_RB) / l at noise parameter p."""
-    return rate_from_channel(stack, family_eval(family, p))
-
-
-def rate_from_channel(stack: CodeStack, ch: PauliChannel) -> float:
-    return -evaluate_s_rb(stack, ch).excess / stack.total_length
-
-
-def nonadditivity(stack: CodeStack, family: ChannelFamily, p: float) -> float:
-    """Rate in excess of the hashing baseline max(0, 1 - H)."""
-    ch = family_eval(family, p)
-    return rate_from_channel(stack, ch) - max(0.0, 1.0 - channel_entropy(ch))
+    return -evaluate_s_rb(stack, family_eval(family, p)).excess / stack.total_length
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# a channel's probabilities: none below -_NEG_TOL, their sum within _SUM_TOL of 1
+_NEG_TOL = 1e-15
 _SUM_TOL = 1e-12
 _COEFF_SUM_TOL = 1e-9
 COEFF_FLOOR = 0.0001
@@ -26,7 +28,9 @@ COEFF_FLOOR = 0.0001
 _NEWTON_MAX_STEPS = 64
 _NEWTON_STEP_TOL = 4 * np.finfo(float).eps
 
-FAMILY_KINDS = ("depolarizing", "independent_xz", "two_pauli", "custom")
+# CLI spec name -> family kind; a custom family's spec carries its coefficients
+_SPEC_KINDS = {"depol": "depolarizing", "indxz": "independent_xz", "twopauli": "two_pauli"}
+FAMILY_KINDS = (*_SPEC_KINDS.values(), "custom")
 
 
 @dataclass(frozen=True)
@@ -40,7 +44,7 @@ class PauliChannel:
 
     def __post_init__(self):
         probs = (self.p_i, self.p_x, self.p_y, self.p_z)
-        if any(p < -1e-15 for p in probs):
+        if any(p < -_NEG_TOL for p in probs):
             raise ValueError(f"negative channel probability in {probs}")
         if abs(sum(probs) - 1.0) > _SUM_TOL:
             raise ValueError(f"channel probabilities sum to {sum(probs)!r}, not 1")
@@ -89,14 +93,10 @@ class ChannelFamily:
 
     def spec(self) -> str:
         """Canonical CLI specifier string."""
-        if self.kind == "depolarizing":
-            return "depol"
-        if self.kind == "independent_xz":
-            return "indxz"
-        if self.kind == "two_pauli":
-            return "twopauli"
-        cx, cy, cz = self.coefficients
-        return f"custom:{cx:.10g},{cy:.10g},{cz:.10g}"
+        if self.kind == "custom":
+            cx, cy, cz = self.coefficients
+            return f"custom:{cx:.10g},{cy:.10g},{cz:.10g}"
+        return next(name for name, kind in _SPEC_KINDS.items() if kind == self.kind)
 
 
 def custom_family(c_x: float, c_y: float, c_z: float) -> ChannelFamily:
@@ -115,12 +115,8 @@ def parse_channel_spec(text: str) -> ChannelFamily:
     so triples printed at 8 decimals round-trip.
     """
     t = text.strip()
-    if t == "depol":
-        return ChannelFamily("depolarizing")
-    if t == "indxz":
-        return ChannelFamily("independent_xz")
-    if t == "twopauli":
-        return ChannelFamily("two_pauli")
+    if t in _SPEC_KINDS:
+        return ChannelFamily(_SPEC_KINDS[t])
     if t.startswith("custom:"):
         parts = t[len("custom:"):].split(",")
         if len(parts) != 3:

@@ -87,7 +87,7 @@ def cmd_codes(args) -> int:
         for name in registry_names():
             code = registry_get(name)
             print(f"{name:14s} [[{code.n},{code.k}]]  {len(code.generators)} generators")
-        print("repZ(n), repX(n)  generated repetition codes, any n")
+        print("repZ(n), repX(n)  generated repetition codes, any n (aliases <n>repZ, <n>repX)")
     else:
         print(serialize_code(registry_get(args.name)), end="")
     return EXIT_OK

@@ -15,9 +15,10 @@ Code-file format (UTF-8 text), one item per line::
     LZ <pauli>     (k lines)
 
 The bundled registry ships the small codes used in the result tables as
-data files; Z- and X-type repetition codes of any length are generated on
-demand under the names ``repZ(n)`` / ``repX(n)`` (aliases ``<n>repZ`` /
-``<n>repX``).
+data files.  Z- and X-type repetition codes of any length are not among
+them: ``make_repetition_code`` generates them on demand under the names
+``repZ(n)`` / ``repX(n)``, which the aliases ``<n>repZ`` / ``<n>repX`` also
+reach.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ def rep_type_of(code: StabilizerCode) -> str | None:
     for typ, bits in (("Z", "z_bits"), ("X", "x_bits")):
         other = "x_bits" if typ == "Z" else "z_bits"
         if all(getattr(g, other) == 0 and
-               bin(getattr(g, bits)).count("1") % 2 == 0
+               getattr(g, bits).bit_count() % 2 == 0
                for g in code.generators):
             return typ
     return None
@@ -406,9 +407,8 @@ def trivial_code() -> StabilizerCode:
                           (PauliString.from_text("X"),), (PauliString.from_text("Z"),))
 
 
-_BUNDLED = ("3repX", "3repZ", "4repZ", "5repZ", "7repX", "5qubit", "steane",
-            "tailored713H", "613H", "cdSteaneH", "scfH", "shor", "11qubit",
-            "13cyclic", "biased9", "biased13", "422", "toric822")
+_BUNDLED = ("5qubit", "steane", "tailored713H", "613H", "cdSteaneH", "scfH", "shor",
+            "11qubit", "13cyclic", "biased9", "biased13", "422", "toric822")
 
 _cache: dict[str, StabilizerCode] = {}
 

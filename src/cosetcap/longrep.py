@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,12 +187,6 @@ def expect_neg_log1p_positive(logr: np.ndarray, weights: np.ndarray, m: int) -> 
         f"r-side trapezoid not converged at {_R_INTERVALS[1]} intervals (m = {m})")
 
 
-@dataclass(frozen=True)
-class LongRepEstimate:
-    s_rb: float
-    stable: bool = True  # always True; dropped with the benchmark's check of it
-
-
 def s_rb_estimate_atoms(rows: np.ndarray, m: int) -> float:
     """S_RB - 1 (bits) of a repetition top of length m over the atom table
     ``rows`` (``rep.top_atoms``), relatively accurate.  StackBudgetError,
@@ -209,8 +202,11 @@ def s_rb_estimate_atoms(rows: np.ndarray, m: int) -> float:
     return (e_q - e_r) / math.log(2.0)
 
 
-def s_rb_estimate(n: int, m: int, family, p: float) -> LongRepEstimate:
+def s_rb_estimate(n: int, m: int, family, p: float):
     """Estimated S_RB (bits) of the n x m concatenated repetition code
-    repX(n) x repZ(m) on a channel family at parameter p."""
-    weights, channels = block_entries(n, "X", family_eval(family, p))
-    return LongRepEstimate(1.0 + s_rb_estimate_atoms(top_atoms(weights, channels, "Z"), m))
+    repX(n) x repZ(m) on a channel family at parameter p, as the
+    ``capacity.Evaluation`` (method "longrep") that ``evaluate_s_rb`` gives
+    that stack past SUM_MULTISETS."""
+    from .capacity import Evaluation  # capacity imports this module
+    rows = top_atoms(*block_entries(n, "X", family_eval(family, p)), "Z")
+    return Evaluation(s_rb_estimate_atoms(rows, m), 1, "longrep")

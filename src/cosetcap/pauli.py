@@ -77,8 +77,8 @@ def anticommutes(a: PauliString, b: PauliString) -> int:
 
 def weights(a: PauliString):
     """Letter counts ``(wt, wt_i, wt_x, wt_y, wt_z)`` with wt = n - wt_i."""
-    wt_y = bin(a.x_bits & a.z_bits).count("1")
-    wt_x = bin(a.x_bits).count("1") - wt_y
-    wt_z = bin(a.z_bits).count("1") - wt_y
+    wt_y = (a.x_bits & a.z_bits).bit_count()
+    wt_x = a.x_bits.bit_count() - wt_y
+    wt_z = a.z_bits.bit_count() - wt_y
     wt = wt_x + wt_y + wt_z
     return wt, a.n - wt, wt_x, wt_y, wt_z

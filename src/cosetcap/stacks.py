@@ -22,10 +22,12 @@ When exact enumeration exceeds the budget, the Monte Carlo path samples
 assignments from their product distribution and evaluates the outermost
 layer exactly per sample.
 
-An innermost repetition layer takes its entries in closed form
-(``rep.block_entries``, ``top_entries``), for any length, on the exact and
-Monte Carlo paths alike; every other layer goes through the Walsh engine
-of ``exact``.  Each site of a
+Weighted channels pass between layers as the pair ``rep.block_entries``
+returns and ``rep.top_atoms`` takes: weights (E,) and (I, X, Y, Z)
+channels (E, 4).  An innermost repetition layer takes its entries in
+closed form (``rep.block_entries``, ``top_entries``), for any length, on
+the exact and Monte Carlo paths alike; every other layer goes through the
+Walsh engine of ``exact``.  Each site of a
 layer takes one of E input channels, so the (n, E, 2^bits) table of their
 spectra is built once per layer from the code's character table; each
 orbit representative multiplies a product of its first sites' rows with
@@ -121,14 +123,6 @@ def parse_stack_spec(text: str) -> CodeStack:
     return CodeStack(tuple(layers))
 
 
-@dataclass(frozen=True)
-class EffectiveChannelSet:
-    """Weighted conditional logical channels of an inner construction."""
-
-    weights: np.ndarray   # (E,)
-    channels: np.ndarray  # (E, 4) in (I, X, Y, Z) order
-
-
 # translations of a conditional channel by a logical I/X/Y/Z: relabeling a
 # block's logical error by a fixed Pauli permutes the outer code's cosets
 # and therefore never changes any downstream entropy
@@ -148,7 +142,7 @@ def _canonical_translation(channels: np.ndarray) -> np.ndarray:
 
 
 def _merge_entries(weights: np.ndarray, channels: np.ndarray,
-                   raw: bool = False) -> EffectiveChannelSet:
+                   raw: bool = False) -> tuple[np.ndarray, np.ndarray]:
     keep = weights > 0.0
     weights, channels = weights[keep], channels[keep]
     keys = channels
@@ -164,7 +158,7 @@ def _merge_entries(weights: np.ndarray, channels: np.ndarray,
     np.add.at(ch, inverse, channels * weights[:, None])
     ch /= w[:, None]
     order = np.argsort(-w, kind="stable")
-    return EffectiveChannelSet(w[order], ch[order])
+    return w[order], ch[order]
 
 
 def _syndrome_probs(cells: np.ndarray) -> np.ndarray:
@@ -183,9 +177,11 @@ def _conditional_channels(cells: np.ndarray):
     return synd, np.ascontiguousarray(cond[..., list(CLASS_OF_LETTER)])
 
 
-def effective_channels(code: StabilizerCode, ch: PauliChannel) -> EffectiveChannelSet:
+def effective_channels(code: StabilizerCode,
+                       ch: PauliChannel) -> tuple[np.ndarray, np.ndarray]:
     """Syndrome-conditioned logical channels of a k = 1 code with ``ch`` on
-    every qubit, grouped, by the Walsh engine of every stack layer.
+    every qubit, grouped, by the Walsh engine of every stack layer: their
+    weights (E,) and (I, X, Y, Z) channels (E, 4), heaviest first.
 
     Syndromes whose conditional (I, X, Y, Z) vectors, reduced modulo the
     four logical translations (which downstream entropies cannot see),
@@ -194,8 +190,7 @@ def effective_channels(code: StabilizerCode, ch: PauliChannel) -> EffectiveChann
     """
     if code.k != 1:
         raise ValueError(f"effective_channels needs k=1, got k={code.k}")
-    entries = EffectiveChannelSet(np.ones(1), ch.as_array()[None, :])
-    return _layer_effective_set(code, entries, raw=False)
+    return _layer_effective_set(code, np.ones(1), ch.as_array()[None, :], raw=False)
 
 
 def _orbit_table(layer: StabilizerCode, n_entries: int) -> tuple[np.ndarray, np.ndarray]:
@@ -252,10 +247,10 @@ def _orbit_labels(layer: StabilizerCode, n_entries: int) -> tuple[np.ndarray, np
     return reps, log_size
 
 
-def _layer_batches(layer: StabilizerCode, entries: EffectiveChannelSet):
+def _layer_batches(layer: StabilizerCode, weights: np.ndarray, channels: np.ndarray):
     """Yield (log-weights, Walsh spectra) chunks over one representative
-    assignment of ``entries`` to the sites of ``layer`` per orbit of its
-    site automorphisms (``_orbit_table``).
+    assignment of the entries ``weights`` (E,), ``channels`` (E, 4) to the
+    sites of ``layer`` per orbit of its site automorphisms (``_orbit_table``).
 
     ``table[i, e]`` is the spectrum of entry e on site i.  A representative
     stands for its whole orbit, so its log weight is the log orbit size
@@ -268,8 +263,8 @@ def _layer_batches(layer: StabilizerCode, entries: EffectiveChannelSet):
     the whole block where it takes every row (as with a trivial group): one
     multiply per element.
     """
-    table = entries.channels @ _site_signs(layer)  # (n, E, 2^bits)
-    logw_entry = np.log(entries.weights)
+    table = channels @ _site_signs(layer)  # (n, E, 2^bits)
+    logw_entry = np.log(weights)
     n_entries, n, size = table.shape[1], layer.n, table.shape[2]
     reps, log_size = _orbit_table(layer, n_entries)
     chunk = max(1, _CHUNK_ELEMS // size)
@@ -301,10 +296,10 @@ def _layer_batches(layer: StabilizerCode, entries: EffectiveChannelSet):
         yield logw, spec
 
 
-def _layer_effective_set(layer: StabilizerCode, entries: EffectiveChannelSet,
-                         raw: bool) -> EffectiveChannelSet:
+def _layer_effective_set(layer: StabilizerCode, weights: np.ndarray, channels: np.ndarray,
+                         raw: bool) -> tuple[np.ndarray, np.ndarray]:
     all_w, all_ch = [], []
-    for logw, spec in _layer_batches(layer, entries):
+    for logw, spec in _layer_batches(layer, weights, channels):
         synd, cond = _conditional_channels(_cells(layer, spec))
         all_w.append((np.exp(logw)[:, None] * synd).ravel())
         all_ch.append(cond.reshape(-1, 4))
@@ -318,7 +313,7 @@ def _rep_frame(code: StabilizerCode, typ: str) -> list[int]:
     their stabilizer-type letters plus 2 for the other letter on any site."""
     def cls(p: PauliString) -> int:
         same, other = (p.x_bits, p.z_bits) if typ == "X" else (p.z_bits, p.x_bits)
-        return bin(same).count("1") % 2 + 2 * (other != 0)
+        return same.bit_count() % 2 + 2 * (other != 0)
 
     letter = [0, 1, 3, 2] if typ == "X" else [0, 3, 1, 2]  # class -> I X Y Z
     cx, cz = cls(code.logical_x[0]), cls(code.logical_z[0])
@@ -326,9 +321,9 @@ def _rep_frame(code: StabilizerCode, typ: str) -> list[int]:
 
 
 def top_entries(stack: CodeStack, ch: PauliChannel,
-                raw: bool = False) -> EffectiveChannelSet:
-    """Weighted conditional channels that the layers below the top feed to
-    each of its sites; the bare channel for a single layer.
+                raw: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (E,) and conditional channels (E, 4) that the layers below
+    the top feed to each of its sites; the bare channel for a single layer.
 
     An innermost repetition layer gives them in closed form, for any length
     (``rep.block_entries``), merged like Walsh entries unless a repetition
@@ -339,16 +334,16 @@ def top_entries(stack: CodeStack, ch: PauliChannel,
     layers = stack.layers[:-1]
     typ = rep_type_of(layers[0]) if layers else None
     if typ is None:
-        entries = EffectiveChannelSet(np.ones(1), ch.as_array()[None, :])
+        weights, channels = np.ones(1), ch.as_array()[None, :]
     else:
         weights, channels = block_entries(layers[0].n, typ, ch)
-        entries = EffectiveChannelSet(weights, channels[:, _rep_frame(layers[0], typ)])
+        channels = channels[:, _rep_frame(layers[0], typ)]
         if len(layers) > 1 or rep_type_of(stack.layers[-1]) is None:
-            entries = _merge_entries(entries.weights, entries.channels, raw)
+            weights, channels = _merge_entries(weights, channels, raw)
         layers = layers[1:]
     for layer in layers:
-        entries = _layer_effective_set(layer, entries, raw)
-    return entries
+        weights, channels = _layer_effective_set(layer, weights, channels, raw)
+    return weights, channels
 
 
 def s_rb_stack_exact(stack: CodeStack, ch: PauliChannel, raw: bool = False) -> float:
@@ -362,10 +357,9 @@ def s_rb_stack_exact(stack: CodeStack, ch: PauliChannel, raw: bool = False) -> f
     """
     if not stack.layers:
         return channel_entropy(ch)
-    entries = top_entries(stack, ch, raw)
     top = stack.layers[-1]
     total = 0.0
-    for logw, spec in _layer_batches(top, entries):
+    for logw, spec in _layer_batches(top, *top_entries(stack, ch, raw)):
         total += float(np.exp(logw) @ batched_s_rb(_cells(top, spec)))
     return total
 
@@ -525,8 +519,8 @@ def s_rb_stack_mc(stack: CodeStack, ch: PauliChannel, samples: int = 100_000,
     if len(stack.layers) < 2:
         raise ValueError("Monte Carlo path needs at least two layers")
     _check_samples(samples)
-    inner = top_entries(CodeStack(stack.layers[:2]), ch)
-    cum0 = np.cumsum(inner.weights)
+    weights, channels = top_entries(CodeStack(stack.layers[:2]), ch)
+    cum0 = np.cumsum(weights)
     cum0[-1] = 1.0
     top = stack.layers[-1]
     total = 0.0
@@ -535,7 +529,7 @@ def s_rb_stack_mc(stack: CodeStack, ch: PauliChannel, samples: int = 100_000,
         nsamp = min(_MC_CHUNK, samples - start)
         rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
         draws = rng.random((nsamp, stack.total_length // stack.layers[0].n))
-        table, index = inner.channels, np.searchsorted(cum0, draws, side="right")
+        table, index = channels, np.searchsorted(cum0, draws, side="right")
         for layer in stack.layers[1:-1]:
             rows = index.reshape(-1, layer.n)
             table, index = _sample_syndromes(layer, table, rows,

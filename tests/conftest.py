@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from cosetcap import PauliChannel
+from cosetcap import PauliChannel, registry_names
+
+# the stack grammar's aliases of generated repetition codes; tests over
+# every registry code take them as well
+REP_ALIASES = ("3repX", "3repZ", "4repZ", "5repZ", "7repX")
+CODE_NAMES = (*registry_names(), *REP_ALIASES)
 
 
 def random_channels(count, seed=0, alpha=(2.0, 1.0, 1.0, 1.0)):

@@ -21,8 +21,8 @@ from cosetcap.stacks import (_MC_CHUNK, CodeStack, _conditional_channels, _row_b
 
 def s_rb_stack_mc_rows(stack, ch, samples, seed) -> tuple[float, float]:
     """Monte Carlo S_RB estimate and standard error, one row at a time."""
-    inner = top_entries(CodeStack(stack.layers[:2]), ch)
-    cum0 = np.cumsum(inner.weights)
+    weights, inner = top_entries(CodeStack(stack.layers[:2]), ch)
+    cum0 = np.cumsum(weights)
     cum0[-1] = 1.0
     top = stack.layers[-1]
     total = 0.0
@@ -31,7 +31,7 @@ def s_rb_stack_mc_rows(stack, ch, samples, seed) -> tuple[float, float]:
         nsamp = min(_MC_CHUNK, samples - start)
         rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
         draws = rng.random((nsamp, stack.total_length // stack.layers[0].n))
-        chans = inner.channels[np.searchsorted(cum0, draws, side="right")]
+        chans = inner[np.searchsorted(cum0, draws, side="right")]
         for layer in stack.layers[1:-1]:
             rows = chans.reshape(-1, layer.n, 4)
             u = rng.random((rows.shape[0], 1))

@@ -6,11 +6,11 @@ import pytest
 import cosetcap.capacity as capacity
 from cosetcap import (ChannelFamily, CodeStack, MonteCarlo, PauliChannel, channel_entropy,
                       family_eval, hashing_point, parse_stack_spec, rate,
-                      registry_get, registry_names, s_rb_rep, sweep, threshold)
-from cosetcap.capacity import (NoThresholdError, evaluate_s_rb, evaluate_s_rb_batch,
-                               nonadditivity)
+                      registry_get, s_rb_rep, sweep, threshold)
+from cosetcap.capacity import NoThresholdError, evaluate_s_rb, evaluate_s_rb_batch
 from cosetcap.cli import EXIT_OK, run
 from cosetcap.codes import rep_type_of
+from conftest import CODE_NAMES
 
 DEPOL = ChannelFamily("depolarizing")
 INDXZ = ChannelFamily("independent_xz")
@@ -26,7 +26,7 @@ def test_rep_type_detection():
     # exactly the repetition codes among the bundled and generated ones
     reps = {"3repX": "X", "3repZ": "Z", "4repZ": "Z", "5repZ": "Z", "7repX": "X",
             "repZ(2)": "Z", "repX(6)": "X"}
-    for name in (*registry_names(), "repZ(2)", "repX(6)", "trivial"):
+    for name in (*CODE_NAMES, "repZ(2)", "repX(6)", "trivial"):
         assert rep_type_of(registry_get(name)) == reps.get(name)
 
 
@@ -48,15 +48,6 @@ def test_empty_stack_rate_is_hashing_rate():
 def test_rep5_positive_between_hashing_and_threshold():
     assert rate(parse_stack_spec("repZ(5)"), DEPOL, 0.0632) > 0.0
     assert rate(parse_stack_spec("repZ(5)"), DEPOL, 0.0636) < 0.0
-
-
-def test_nonadditivity_definition():
-    # below the hashing point the hashing baseline dominates
-    val = nonadditivity(parse_stack_spec("repZ(5)"), DEPOL, 0.05)
-    assert val < 0.0
-    # beyond it, equals the raw rate
-    val = nonadditivity(parse_stack_spec("repZ(5)"), DEPOL, 0.0633)
-    assert val == pytest.approx(rate(parse_stack_spec("repZ(5)"), DEPOL, 0.0633))
 
 
 def test_threshold_bracketing_certificate():
@@ -212,7 +203,7 @@ def test_evaluate_dispatch_reports_methods():
     assert evaluate_s_rb(parse_stack_spec("repZ(5) x 5qubit"), ch).method == "grouped"
 
 
-@pytest.mark.parametrize("name", [name for name in registry_names()
+@pytest.mark.parametrize("name", [name for name in CODE_NAMES
                                   if rep_type_of(registry_get(name)) is None])
 def test_single_layer_batch_is_bit_identical_to_the_scalar_path(name):
     # the optimizer's batched Q must be what nonadditivity_at_hashing
@@ -222,6 +213,15 @@ def test_single_layer_batch_is_bit_identical_to_the_scalar_path(name):
         chans = [family_eval(family, p) for p in (1e-3, 0.06, 0.11)]
         got = evaluate_s_rb_batch(stack, np.array([ch.as_array() for ch in chans]))
         assert got.tolist() == [evaluate_s_rb(stack, ch).excess for ch in chans]
+
+
+@pytest.mark.parametrize("spec", ["5qubit", "repZ(5)", "repZ(3) x 5qubit"])
+@pytest.mark.parametrize("row", [(0.5, 0.2, 0.1, 0.1), (1.1, -0.1, 0.0, 0.0)])
+def test_batch_rejects_rows_that_are_not_channels(spec, row):
+    # the Walsh, multiset-sum and row-by-row paths alike
+    chans = np.array([family_eval(DEPOL, 0.06).as_array(), row])
+    with pytest.raises(ValueError):
+        evaluate_s_rb_batch(parse_stack_spec(spec), chans)
 
 
 @pytest.mark.parametrize("spec", ["", "5qubit", "steane", "repZ(4)", "repX(7)",

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from cosetcap import (PauliString, anticommutes, classify,
                       registry_names, serialize_code, trivial_code)
 from cosetcap.codes import (CodeValidationError, _is_automorphism, _symplectic_basis,
                             _symplectic_rank, automorphism_group, rep_type_of,
-                            site_automorphisms)
+                            site_automorphisms, validate_code)
+from conftest import CODE_NAMES, REP_ALIASES
 
 P = PauliString.from_text
 
@@ -54,10 +56,12 @@ def test_parse_422():
 
 
 def test_registry_every_code_validates():
-    for name in registry_names():
+    for name in CODE_NAMES:
         code = registry_get(name)
-        assert code.name == name
+        validate_code(code)
         assert len(code.logical_x) == code.k
+        if name in registry_names():
+            assert code.name == name
 
 
 def test_registry_biased9_layout():
@@ -72,7 +76,23 @@ def test_registry_generated_rep():
     assert str(code.logical_x[0]) == "XXXXX"
     assert str(code.logical_z[0]) == "ZIIII"
     assert rep_type_of(code) == "Z"
-    assert registry_get("5repZ").generators == registry_get("repZ(5)").generators
+
+
+def test_rep_aliases_are_the_generated_codes():
+    for name in REP_ALIASES:
+        n, typ = int(name[:-4]), name[-1]
+        code = registry_get(name)
+        assert code == make_repetition_code(n, typ) == registry_get(f"rep{typ}({n})")
+        assert code.name == f"rep{typ}({n})"
+    # repetition codes are generated, never bundled
+    assert not any(rep_type_of(registry_get(name)) for name in registry_names())
+
+
+def test_rep_type_of_a_long_code_is_fast():
+    code = make_repetition_code(20001, "Z")  # built outside the timing
+    t0 = time.perf_counter()
+    assert rep_type_of(code) == "Z"
+    assert time.perf_counter() - t0 < 0.2
 
 
 def test_registry_unknown_name():
@@ -81,7 +101,7 @@ def test_registry_unknown_name():
 
 
 def test_round_trip_serialization():
-    for name in registry_names():
+    for name in CODE_NAMES:
         code = registry_get(name)
         again = parse_code(serialize_code(code))
         assert serialize_code(again) == serialize_code(code)
@@ -120,11 +140,11 @@ def _random_pauli(rng, n):
     return PauliString(n, rng.getrandbits(n), rng.getrandbits(n))
 
 
-@pytest.mark.parametrize("name", registry_names())
+@pytest.mark.parametrize("name", CODE_NAMES)
 def test_classify_invariant_under_stabilizers(name):
     code = registry_get(name)
     rng = random.Random(sum(map(ord, name)))
-    for _ in range(10_000 // len(registry_names()) + 200):
+    for _ in range(10_000 // len(CODE_NAMES) + 200):
         e = _random_pauli(rng, code.n)
         s = PauliString.identity(code.n)
         for g in code.generators:
@@ -207,7 +227,7 @@ def _closure(gens, n):
     return group
 
 
-@pytest.mark.parametrize("name", registry_names())
+@pytest.mark.parametrize("name", CODE_NAMES)
 def test_site_automorphisms_keep_stabilizer_and_logical_cosets(name):
     code = registry_get(name)
     rank = _symplectic_rank(code.generators)
@@ -238,7 +258,7 @@ def _brute_force_group(code):
     return {tuple(int(i) for i in p) for p in perms[keep]}
 
 
-@pytest.mark.parametrize("name", [n for n in registry_names() if registry_get(n).n <= 8])
+@pytest.mark.parametrize("name", [n for n in CODE_NAMES if registry_get(n).n <= 8])
 def test_site_automorphism_group_matches_brute_force(name):
     code = registry_get(name)
     assert _closure(site_automorphisms(code), code.n) == _brute_force_group(code)
@@ -259,7 +279,7 @@ GROUP_ORDERS = {"shor": 1296, "steane": 168, "13cyclic": 26, "cdSteaneH": 24,
                 "biased13": 6, "422": 4, "613H": 4, "scfH": 4, "11qubit": 1}
 
 
-@pytest.mark.parametrize("name", registry_names())
+@pytest.mark.parametrize("name", CODE_NAMES)
 def test_automorphism_group_lists_the_whole_group(name):
     code = registry_get(name)
     n = code.n

@@ -5,9 +5,9 @@ import pytest
 
 from cosetcap import (ChannelFamily, PauliChannel, PauliString, classify,
                       coset_distribution, custom_family, family_eval,
-                      registry_get, registry_names, s_rb_code)
+                      registry_get, s_rb_code)
 from cosetcap.exact import CLASS_OF_LETTER, ExhaustiveLimitError
-from conftest import assert_probabilities, random_channels
+from conftest import CODE_NAMES, assert_probabilities, random_channels
 from xor_reference import gather_s_rb
 
 DEPOL = ChannelFamily("depolarizing")
@@ -37,7 +37,7 @@ def enumerated_table(code, site_channels):
 
 
 ENUMERATED_CODES = ["repZ(3)", "5qubit", "422", "scfH"] + [
-    name for name in registry_names()
+    name for name in CODE_NAMES
     if registry_get(name).n <= 9 and name not in ("5qubit", "422", "scfH")]
 
 
@@ -57,7 +57,7 @@ def test_table_matches_brute_force(name):
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)
 def test_s_rb_matches_gather_reference_on_every_bundled_code(family):
-    for name in registry_names():
+    for name in CODE_NAMES:
         code = registry_get(name)
         for p in (0.0, 1e-6, 0.05, 0.1, 0.2):
             ch = family_eval(family, p)

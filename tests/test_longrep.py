@@ -8,7 +8,7 @@ import oracle
 from cosetcap import (ChannelFamily, block_entries, block_table, family_eval,
                       parse_channel_spec, parse_stack_spec, s_rb_estimate, s_rb_rep,
                       threshold, top_atoms)
-from cosetcap.capacity import NoThresholdError
+from cosetcap.capacity import NoThresholdError, evaluate_s_rb
 from cosetcap.channels import bracketed_root
 from cosetcap.longrep import (_contour_estimates, expect_neg_log1p_moments,
                               expect_neg_log1p_positive, s_rb_estimate_atoms)
@@ -303,6 +303,15 @@ def test_estimate_family_entry_point():
     assert est.s_rb == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("n,m,spec,p", [(7, 61, "depol", 0.0635), (5, 51, "depol", 0.0635),
+                                        (7, 301, "depol", 0.0635), (5, 501, "indxz", 0.112)])
+def test_estimate_is_the_stack_evaluation(n, m, spec, p):
+    # sizes past SUM_MULTISETS, where evaluate_s_rb takes the estimator too
+    family = parse_channel_spec(spec)
+    stack = parse_stack_spec(f"repX({n}) x repZ({m})")
+    assert s_rb_estimate(n, m, family, p) == evaluate_s_rb(stack, family_eval(family, p))
+
+
 def test_sweep_script_bracket_gives_long_tops_their_threshold():
     # 5 x 1001 on the depolarizing channel, the script's longest default:
     # S_RB - 1 is -1e-18 and +3e-22 at the bracket ends, and its sign holds
@@ -389,8 +398,7 @@ def test_atom_engines_match_oracle_relatively(spec, p, rel):
     stack = parse_stack_spec(spec)
     if p is None:
         p = threshold(stack, DEPOL, bracket=GATE_BRACKET).p_star + 1e-7
-    entries = top_entries(stack, family_eval(DEPOL, p))
-    rows = top_atoms(entries.weights, entries.channels, "Z")
+    rows = top_atoms(*top_entries(stack, family_eval(DEPOL, p)), "Z")
     want = float(_oracle_excess(spec, p))
     m = stack.layers[-1].n
     assert s_rb_atoms(rows, m) == pytest.approx(want, rel=rel, abs=0.0)

@@ -42,7 +42,7 @@ ORACLE_SPECS = [
 def test_parse_stack_spec():
     # aliases resolve to canonical registry names
     stack = parse_stack_spec("5repX x 5qubit x 5repZ")
-    assert [c.name for c in stack.layers] == ["repX(5)", "5qubit", "5repZ"]
+    assert [c.name for c in stack.layers] == ["repX(5)", "5qubit", "repZ(5)"]
     assert stack.total_length == 125
     assert stack.k_outer == 1
     assert parse_stack_spec("").layers == ()
@@ -57,31 +57,31 @@ def test_inner_layers_must_be_k1():
 
 
 def test_effective_channels_rep3_groups():
-    es = effective_channels(registry_get("repZ(3)"), CH06)
-    assert_probabilities(es.weights, 1e-10)
-    assert_probabilities(es.channels, 1e-9, axis=1)
-    assert len(es.weights) == 2
+    weights, channels = effective_channels(registry_get("repZ(3)"), CH06)
+    assert_probabilities(weights, 1e-10)
+    assert_probabilities(channels, 1e-9, axis=1)
+    assert len(weights) == 2
     # trivial syndrome = X-support empty or full; the three nontrivial
     # syndromes share a single conditional channel class
     p = 0.06
-    assert es.weights[0] == pytest.approx((1 - 2 * p) ** 3 + (2 * p) ** 3, abs=1e-12)
+    assert weights[0] == pytest.approx((1 - 2 * p) ** 3 + (2 * p) ** 3, abs=1e-12)
 
 
 def test_effective_channels_noiseless():
-    es = effective_channels(registry_get("repZ(3)"), PauliChannel(1, 0, 0, 0))
-    assert len(es.weights) == 1
-    assert es.weights[0] == pytest.approx(1.0)
-    assert es.channels[0] == pytest.approx([1, 0, 0, 0])
+    weights, channels = effective_channels(registry_get("repZ(3)"), PauliChannel(1, 0, 0, 0))
+    assert len(weights) == 1
+    assert weights[0] == pytest.approx(1.0)
+    assert channels[0] == pytest.approx([1, 0, 0, 0])
 
 
 def test_effective_channels_five_qubit_structure():
-    es = effective_channels(registry_get("5qubit"), CH06)
-    assert_probabilities(es.weights, 1e-10)
-    assert_probabilities(es.channels, 1e-9, axis=1)
+    weights, channels = effective_channels(registry_get("5qubit"), CH06)
+    assert_probabilities(weights, 1e-10)
+    assert_probabilities(channels, 1e-9, axis=1)
     # 16 syndromes collapse to the trivial one plus one equivalence class
-    assert len(es.weights) == 2
-    assert np.all(es.channels >= 0)
-    assert es.channels.sum(axis=1) == pytest.approx(np.ones(2))
+    assert len(weights) == 2
+    assert np.all(channels >= 0)
+    assert channels.sum(axis=1) == pytest.approx(np.ones(2))
 
 
 @pytest.mark.parametrize("name,count", [("biased9", 3), ("steane", 2), ("shor", 4)])
@@ -90,10 +90,10 @@ def test_effective_channels_drop_round_off_syndromes(name, count):
     # engine leaves round-off (~1e-17) on the others, which must not become
     # entries of their own
     code = registry_get(name)
-    es = effective_channels(code, PauliChannel(0.9, 0.1, 0.0, 0.0))
-    assert len(es.weights) == count
-    assert_probabilities(es.weights, 1e-10)
-    assert_probabilities(es.channels, 1e-9, axis=1)
+    weights, channels = effective_channels(code, PauliChannel(0.9, 0.1, 0.0, 0.0))
+    assert len(weights) == count
+    assert_probabilities(weights, 1e-10)
+    assert_probabilities(channels, 1e-9, axis=1)
 
 
 def test_effective_channels_requires_k1():
@@ -149,7 +149,7 @@ def test_repetition_layer_from_a_code_file_takes_the_multiset_path(tmp_path, mon
     path.write_text("name chain5\nnk 5 1\nG ZZIII\nG IZZII\nG IIZZI\nG IIIZZ\n"
                     "LX XXXXX\nLZ ZIIII\n")
     stack = parse_stack_spec(f"repX(3) x {path}")
-    assert len(effective_channels(stack.layers[0], CH06).weights) == 2
+    assert len(effective_channels(stack.layers[0], CH06)[0]) == 2
     monkeypatch.setattr(rep, "ASSIGNMENT_BUDGET", 20)
     got = s_rb_stack_exact(stack, CH06)
     assert got == pytest.approx(gather_s_rb(compose_stack(stack), CH06), abs=1e-9)
@@ -418,8 +418,7 @@ def test_atom_engines_match_the_walsh_top(inner, middle, top, m, ch):
         want = s_rb_stack_exact(stack, ch)
     except StackBudgetError:
         reject()
-    entries = stacks.top_entries(stack, ch)
-    rows = rep.top_atoms(entries.weights, entries.channels, top)
+    rows = rep.top_atoms(*stacks.top_entries(stack, ch), top)
     assert 1.0 + s_rb_estimate_atoms(rows, m) == pytest.approx(want, abs=1e-12)
     if rep.multiset_count(m, rows.shape[0]) * rows.shape[0] <= rep.ASSIGNMENT_BUDGET:
         assert 1.0 + rep.s_rb_atoms(rows, m) == pytest.approx(want, abs=1e-12)
@@ -436,8 +435,8 @@ def test_long_atom_top_matches_the_walsh_top():
     assert ev.s_rb == pytest.approx(s_rb_stack_exact(stack, ch), abs=1e-12)
 
 
-def _sorted_entries(entries):
-    keys = np.column_stack([entries.weights, entries.channels])
+def _sorted_entries(weights, channels):
+    keys = np.column_stack([weights, channels])
     return keys[np.lexsort(np.round(keys, 9).T[::-1])]
 
 
@@ -452,11 +451,11 @@ def test_closed_form_entries_match_walsh_entries(typ):
         for ch in channels:
             walsh = effective_channels(code, ch)
             closed = stacks._merge_entries(*rep.block_entries(n, typ, ch))
-            assert closed.weights.size <= walsh.weights.size
-            if closed.weights.size < walsh.weights.size:
+            assert closed[0].size <= walsh[0].size
+            if closed[0].size < walsh[0].size:
                 assert n >= 8  # round-off entries of the longer Walsh tables
                 continue
-            assert np.abs(_sorted_entries(closed) - _sorted_entries(walsh)).max() <= 1e-12
+            assert np.abs(_sorted_entries(*closed) - _sorted_entries(*walsh)).max() <= 1e-12
 
 
 def test_closed_form_entries_follow_the_code_frame():
@@ -495,7 +494,7 @@ def test_closed_form_innermost_layer_matches_the_walsh_path():
     inner, top = stack.layers
     entries = effective_channels(inner, ch)
     want = sum(float(np.exp(logw) @ batched_s_rb(_cells(top, spec)))
-               for logw, spec in stacks._layer_batches(top, entries))
+               for logw, spec in stacks._layer_batches(top, *entries))
     assert s_rb_stack_exact(stack, ch) == pytest.approx(want, abs=1e-12)
 
 
