@@ -98,10 +98,11 @@ def evaluate_s_rb_batch(stack: CodeStack, chans: np.ndarray) -> np.ndarray:
     for all rows.  Every other stack runs ``evaluate_s_rb`` row by row.
     Every row must be a channel by ``PauliChannel``'s rule, or ValueError.
     """
-    bad = (chans < -_NEG_TOL).any(axis=1) | (np.abs(chans.sum(axis=1) - 1.0) > _SUM_TOL)
+    bad = ~((chans >= -_NEG_TOL).all(axis=1) & (np.abs(chans.sum(axis=1) - 1.0) <= _SUM_TOL))
     if bad.any():
         row = chans[int(np.argmax(bad))].tolist()
-        raise ValueError(f"channel row {row} has a negative probability or a sum other than 1")
+        raise ValueError(f"channel row {row} has a negative or NaN probability "
+                         "or a sum other than 1")
     if len(stack.layers) == 1 and not isinstance(stack.strategy, MonteCarlo):
         top = stack.layers[0]
         top_type = rep_type_of(top)

@@ -44,9 +44,10 @@ class PauliChannel:
 
     def __post_init__(self):
         probs = (self.p_i, self.p_x, self.p_y, self.p_z)
-        if any(p < -_NEG_TOL for p in probs):
-            raise ValueError(f"negative channel probability in {probs}")
-        if abs(sum(probs) - 1.0) > _SUM_TOL:
+        # written so that NaN fails both checks
+        if not all(p >= -_NEG_TOL for p in probs):
+            raise ValueError(f"negative or NaN channel probability in {probs}")
+        if not abs(sum(probs) - 1.0) <= _SUM_TOL:
             raise ValueError(f"channel probabilities sum to {sum(probs)!r}, not 1")
 
     def as_array(self) -> np.ndarray:

@@ -35,13 +35,19 @@ one row of a block holding the products of every combination of its last
 sites.  Sampled blocks are rows of indices into a table of distinct
 channels; each distinct middle-layer row, and each orbit of top rows under
 the top's site automorphisms, is evaluated once, in blocks of rows by
-per-site matmuls.
+per-site matmuls.  Draws become indices in linear passes, with no sort: a
+guide table gives each innermost draw its entry, a binary search along a
+row's cumulative syndrome weights its syndrome, and marking over the
+bounded range of (row, syndrome) keys numbers the distinct pairs.  Each
+gives what ``np.searchsorted``, counting the weights below the draw and
+``np.unique`` would, so a seed fixes every sample and the estimate.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -404,29 +410,43 @@ def _sample_syndromes(layer: StabilizerCode, table: np.ndarray, rows: np.ndarray
                       u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Draw the syndrome class of each sampled block of ``layer``.
 
-    ``rows`` (R, n) index the site channels ``table`` (E, 4); ``u`` (R, 1)
+    ``rows`` (R, n) index the site channels ``table`` (E, 4); ``u`` (R,)
     holds one uniform draw per row.  The Walsh engine runs once per
     distinct row, in row blocks, and each row picks the first syndrome
-    whose cumulative weight reaches its draw, in row blocks of the samples
-    of that block.  Returns the conditional channels of the distinct
-    (row, syndrome) pairs and each row's index into them.
+    whose cumulative weight reaches its draw, by a binary search along the
+    2^generators syndromes of its row of cumulative weights.  Each
+    (row, syndrome) pair is the key row * syndromes + syndrome, below
+    syndromes times the rows of the block; marking the keys seen numbers
+    the distinct pairs in key order.  Returns the conditional channels of
+    the distinct pairs and each row's index into them.
     """
     uniq, inv = _distinct_rows(rows, table.shape[0])
-    order = np.argsort(inv)
-    sorted_inv = inv[order]
+    blocks = _row_blocks(layer, uniq.shape[0])
+    if len(blocks) > 1:  # the rows of each block of distinct rows, together
+        order = np.argsort(inv)
+        bounds = np.searchsorted(inv[order], [blk.start for blk in blocks] + [len(uniq)])
     index = np.empty(rows.shape[0], dtype=np.intp)
     chans, count = [], 0
-    for blk in _row_blocks(layer, uniq.shape[0]):
+    for i, blk in enumerate(blocks):
         cells = _batched_cells(layer, table[uniq[blk]])
         cum = np.cumsum(_syndrome_probs(cells), axis=1)
         cum[:, -1] = 1.0
-        members = order[slice(*np.searchsorted(sorted_inv, (blk.start, blk.stop)))]
-        local = inv[members] - blk.start
-        pick = np.empty(members.size, dtype=np.intp)
-        for sub in _row_blocks(layer, members.size):
-            pick[sub] = (u[members[sub]] > cum[local[sub]]).sum(axis=1)
-        pairs, pair = np.unique(local * cum.shape[1] + pick, return_inverse=True)
-        index[members] = count + pair
+        if len(blocks) > 1:
+            members = order[bounds[i]:bounds[i + 1]]
+            key, draws = (inv[members] - blk.start) * cum.shape[1], u[members]
+        else:
+            members, key, draws = slice(None), inv * cum.shape[1], u
+        # u > cum[j] holds for a prefix of j: cum is non-decreasing but for
+        # its last entry, set to 1, which falls only where the one before
+        # it exceeds 1 > u
+        flat, half = cum.ravel(), cum.shape[1] >> 1
+        while half:
+            np.add(key, half, out=key, where=draws > flat[key + (half - 1)])
+            half >>= 1
+        seen = np.zeros(cum.size, dtype=bool)
+        seen[key] = True
+        pairs = np.flatnonzero(seen)
+        index[members] = count + (np.cumsum(seen) - 1)[key]
         at, synd = np.divmod(pairs, cum.shape[1])
         chans.append(_conditional_channels(cells[at, synd, None])[1][:, 0])
         count += pairs.size
@@ -488,6 +508,30 @@ def _top_values(top: StabilizerCode, table: np.ndarray, rows: np.ndarray) -> np.
     return vals[inv]
 
 
+def _entry_lookup(cum: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``np.searchsorted(cum, draws, side="right")`` for arrays of uniform
+    draws in [0, 1), by a guide table.
+
+    ``cum`` (E,) holds cumulative weights, the last set to 1.  The draws
+    fall in K = 2^j >= 16 E equal buckets [b/K, (b+1)/K), and x K is exact,
+    so x's bucket is floor(x K).  The table holds the index that every draw
+    of a bucket takes, or -1 where an entry of ``cum`` falls inside the
+    bucket: only draws there, at most E/K <= 1/16 of them on average, are
+    searched.
+    """
+    scale = 1 << (16 * cum.size - 1).bit_length()
+    edges = np.arange(scale + 1) / scale
+    low = np.searchsorted(cum, edges[:-1], side="right")
+    guide = np.where(low == np.searchsorted(cum, edges[1:]), low, -1)
+
+    def lookup(draws: np.ndarray) -> np.ndarray:
+        index = guide[(draws * scale).astype(np.intp)]
+        odd = np.flatnonzero(index < 0)
+        index.flat[odd] = np.searchsorted(cum, draws.flat[odd], side="right")
+        return index
+    return lookup
+
+
 def _check_samples(samples: int) -> None:
     if samples < 1:
         raise ValueError(f"Monte Carlo needs at least one sample, got {samples}")
@@ -514,7 +558,12 @@ def s_rb_stack_mc(stack: CodeStack, ch: PauliChannel, samples: int = 100_000,
     ``_CHUNK_ELEMS`` spectrum elements, which bound the memory of a chunk.
     Sampling uses a counter-based Philox generator keyed by (seed, chunk
     index), chunks of ``_MC_CHUNK`` samples, so results are reproducible
-    and chunks are independent.
+    and chunks are independent.  A chunk draws one uniform per innermost
+    block, whose entry is the first whose cumulative weight exceeds it
+    (``_entry_lookup``), then one per block of each middle layer, whose
+    syndrome is the first whose cumulative weight reaches it
+    (``_sample_syndromes``).  Neither step sorts, and neither changes what
+    a seed draws.
     """
     if len(stack.layers) < 2:
         raise ValueError("Monte Carlo path needs at least two layers")
@@ -522,6 +571,7 @@ def s_rb_stack_mc(stack: CodeStack, ch: PauliChannel, samples: int = 100_000,
     weights, channels = top_entries(CodeStack(stack.layers[:2]), ch)
     cum0 = np.cumsum(weights)
     cum0[-1] = 1.0
+    entry_index = _entry_lookup(cum0)
     top = stack.layers[-1]
     total = 0.0
     total_sq = 0.0
@@ -529,11 +579,10 @@ def s_rb_stack_mc(stack: CodeStack, ch: PauliChannel, samples: int = 100_000,
         nsamp = min(_MC_CHUNK, samples - start)
         rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
         draws = rng.random((nsamp, stack.total_length // stack.layers[0].n))
-        table, index = channels, np.searchsorted(cum0, draws, side="right")
+        table, index = channels, entry_index(draws)
         for layer in stack.layers[1:-1]:
             rows = index.reshape(-1, layer.n)
-            table, index = _sample_syndromes(layer, table, rows,
-                                             rng.random((rows.shape[0], 1)))
+            table, index = _sample_syndromes(layer, table, rows, rng.random(rows.shape[0]))
         vals = _top_values(top, table, index.reshape(nsamp, top.n))
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())

@@ -216,7 +216,8 @@ def test_single_layer_batch_is_bit_identical_to_the_scalar_path(name):
 
 
 @pytest.mark.parametrize("spec", ["5qubit", "repZ(5)", "repZ(3) x 5qubit"])
-@pytest.mark.parametrize("row", [(0.5, 0.2, 0.1, 0.1), (1.1, -0.1, 0.0, 0.0)])
+@pytest.mark.parametrize("row", [(0.5, 0.2, 0.1, 0.1), (1.1, -0.1, 0.0, 0.0),
+                                 (math.nan, 0.1, 0.0, 0.0)])
 def test_batch_rejects_rows_that_are_not_channels(spec, row):
     # the Walsh, multiset-sum and row-by-row paths alike
     chans = np.array([family_eval(DEPOL, 0.06).as_array(), row])

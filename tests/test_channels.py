@@ -38,6 +38,15 @@ def test_channel_validation():
         PauliChannel(0.5, 0.5, 0.1, 0.0)
 
 
+@pytest.mark.parametrize("site", range(4))
+def test_channel_validation_rejects_nan(site):
+    # NaN fails every comparison, so both checks must be ones it fails
+    probs = [0.9, 0.1, 0.0, 0.0]
+    probs[site] = math.nan
+    with pytest.raises(ValueError):
+        PauliChannel(*probs)
+
+
 def test_entropy_examples():
     assert channel_entropy(PauliChannel(1, 0, 0, 0)) == 0.0
     assert channel_entropy(PauliChannel(0.25, 0.25, 0.25, 0.25)) == pytest.approx(2.0)

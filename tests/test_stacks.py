@@ -233,7 +233,9 @@ def test_mc_needs_a_positive_sample_count(samples):
                         "repZ(15) x 5qubit x repZ(3)", "5qubit x 5qubit",
                         "repZ(3) x steane"], [0.02, 0.0635], [7, 11]),
     # 512 entries on the 9 top sites: canonical keys take two int64 words
-    ("repZ(3) x 5qubit x biased9", 0.0635, 7)])
+    ("repZ(3) x 5qubit x biased9", 0.0635, 7),
+    # 151 innermost entries: the entry lookup's guide table has 4,096 buckets
+    ("13cyclic x repZ(3)", 0.0635, 7)])
 def test_mc_matches_row_by_row_sampler(spec, p, seed):
     # same draws, each distinct middle row and each top orbit evaluated
     # once: equal up to rounding; 45,000 samples span three Philox chunks
@@ -241,6 +243,48 @@ def test_mc_matches_row_by_row_sampler(spec, p, seed):
     est, se = s_rb_stack_mc(stack, ch, samples=45_000, seed=seed)
     ref_est, ref_se = s_rb_stack_mc_rows(stack, ch, samples=45_000, seed=seed)
     assert abs(est - ref_est) <= 1e-12 and abs(se - ref_se) <= 1e-12
+
+
+@pytest.mark.parametrize("chunk_elems", [64, 256])
+def test_mc_matches_row_by_row_sampler_across_row_blocks(monkeypatch, chunk_elems):
+    # blocks of 1 or 4 middle rows and of 4 or 16 top rows: the distinct
+    # middle rows, their (row, syndrome) keys and the top rows each span
+    # many blocks, which the default block size never does at this size
+    calls = {}
+
+    def counting(code, chans):
+        calls[code.name] = calls.get(code.name, 0) + 1
+        return batched_cells(code, chans)
+
+    batched_cells = stacks._batched_cells
+    monkeypatch.setattr(stacks, "_CHUNK_ELEMS", chunk_elems)
+    monkeypatch.setattr(stacks, "_batched_cells", counting)
+    stack, ch = parse_stack_spec("repX(3) x 5qubit x repZ(3)"), family_eval(DEPOL, 0.0635)
+    est, se = s_rb_stack_mc(stack, ch, samples=3_000, seed=7)
+    assert calls["5qubit"] > 1 and calls["repZ(3)"] > 1
+    ref_est, ref_se = s_rb_stack_mc_rows(stack, ch, samples=3_000, seed=7)
+    assert abs(est - ref_est) <= 1e-12 and abs(se - ref_se) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-18, 1.0)), min_size=1,
+                        max_size=300).filter(lambda w: sum(w) > 0),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(weights=[1.0], seed=0)
+@example(weights=[0.9, 0.07, 0.03], seed=0)  # three entries, as in the c4 stack
+@example(weights=[0.5, 0.5, 1e-17, 1e-17, 0.0], seed=0)  # entries in one bucket
+def test_entry_lookup_is_searchsorted(weights, seed):
+    cum = np.cumsum(weights) / sum(weights)
+    cum[-1] = 1.0
+    # uniform draws, every bucket edge of any table size up to 2^13 and the
+    # doubles on either side of each entry
+    edges = np.arange(1 << 13) / (1 << 13)
+    draws = np.concatenate([np.random.default_rng(seed).random(3000), edges,
+                            np.nextafter(edges[1:], 0.0), cum, np.nextafter(cum, 0.0),
+                            np.nextafter(cum, 1.0)])
+    draws = draws[draws < 1.0].reshape(1, -1)
+    assert np.array_equal(stacks._entry_lookup(cum)(draws),
+                          np.searchsorted(cum, draws, side="right"))
 
 
 def test_mc_evaluates_each_distinct_row_once(monkeypatch):
