@@ -457,26 +457,3 @@ def registry_get(name: str) -> StabilizerCode:
         code = make_repetition_code(n, typ)
     _cache[name] = code
     return code
-
-
-@dataclass(frozen=True)
-class Classification:
-    syndrome: tuple[int, ...]
-    logical_class: tuple[int, ...]
-
-
-def classify(code: StabilizerCode, e: PauliString) -> Classification:
-    """Syndrome and logical-class bits of an error.
-
-    syndrome[i] = anticommutes(e, generators[i]); class bits come in
-    (logical_x[j], logical_z[j]) pairs.  Two errors share both vectors
-    exactly when they sit in the same stabilizer coset.
-    """
-    if e.n != code.n:
-        raise ValueError(f"error length {e.n} != code n {code.n}")
-    syndrome = tuple(anticommutes(e, g) for g in code.generators)
-    cls = []
-    for j in range(code.k):
-        cls.append(anticommutes(e, code.logical_x[j]))
-        cls.append(anticommutes(e, code.logical_z[j]))
-    return Classification(syndrome, tuple(cls))

@@ -35,13 +35,9 @@ SIMPLEX_DIAMETER_TOL = 1e-6
 _LATTICE_G = (0.7548776662466927, 0.5698402909980532)
 
 
-def project_floor(c) -> tuple[float, float, float]:
-    """Project a nonnegative triple onto the floored probability simplex."""
-    return tuple(_project_rows(np.asarray(c, dtype=float)[None, :])[0].tolist())
-
-
 def _project_rows(c: np.ndarray) -> np.ndarray:
-    """``project_floor`` of every row of an (A, 3) array."""
+    """Project every nonnegative row of an (A, 3) array onto the floored
+    probability simplex."""
     c = np.maximum(c, 0.0)
     c[c.sum(axis=1) <= 0.0] = 1.0
     c = c / c.sum(axis=1, keepdims=True)
@@ -125,12 +121,11 @@ def _starts(restarts: int, seed: int) -> list[tuple[float, float, float]]:
               (COEFF_FLOOR, v, COEFF_FLOOR),
               (COEFF_FLOOR, COEFF_FLOOR, v)]
     phase = math.modf(0.5 + seed * 0.6180339887498949)[0]
-    for i in range(1, max(restarts - 3, 0) + 1):
-        u = math.modf(phase + i * _LATTICE_G[0])[0]
-        w = math.modf(phase + i * _LATTICE_G[1])[0]
-        s = math.sqrt(u)
-        points.append(project_floor((1.0 - s, s * (1.0 - w), s * w)))
-    return points[:restarts]
+    i = np.arange(1, max(restarts - 3, 0) + 1)[:, None]
+    u, w = np.modf(phase + i * np.array(_LATTICE_G))[0].T
+    s = np.sqrt(u)
+    lattice = _project_rows(np.column_stack([1.0 - s, s * (1.0 - w), s * w]))
+    return (points + [tuple(c) for c in lattice.tolist()])[:restarts]
 
 
 def _objective(stack: CodeStack, theta: np.ndarray):

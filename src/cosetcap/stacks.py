@@ -1,5 +1,5 @@
-"""Concatenated code stacks: effective channels, exact grouped evaluation,
-explicit composition, and Monte Carlo estimation.
+"""Concatenated code stacks: effective channels, exact grouped evaluation
+and Monte Carlo estimation.
 
 A stack is an ordered list of layers, position 0 innermost (its physical
 qubits see the channel directly; its syndromes are measured first).  The
@@ -16,8 +16,9 @@ logical in its coset L.S (``codes.site_automorphisms``) leaves S_RB of an
 assignment, and its effective channels up to logical translations, as
 they are, so each layer evaluates one assignment per orbit of that group,
 weighted by the orbit size: multisets with multinomial weights for a
-repetition layer (``codes.rep_type_of``, every permutation), orbit labels
-over the E^n assignments for any other.  No grouping changes the value.
+repetition layer (``codes.rep_type_of``, every permutation), least images
+under ``codes.automorphism_group`` for any other, as for sampled top rows.
+No grouping changes the value.
 When exact enumeration exceeds the budget, the Monte Carlo path samples
 assignments from their product distribution and evaluates the outermost
 layer exactly per sample.
@@ -53,11 +54,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import PauliChannel, channel_entropy
-from .codes import (StabilizerCode, automorphism_group, registry_get, rep_type_of,
-                    site_automorphisms, validate_code)
-from .exact import (CLASS_OF_LETTER, ROUND_OFF, _batched_cells, _cells, _site_signs,
-                    batched_s_rb)
-from .pauli import PauliString, pauli_mul
+from .codes import StabilizerCode, automorphism_group, registry_get, rep_type_of
+from .exact import (CLASS_OF_LETTER, ROUND_OFF, _batched_cells, _cells, _character_table,
+                    _site_signs, batched_s_rb)
+from .pauli import PauliString
 from .rep import (StackBudgetError, block_entries,  # the error re-exported
                   check_budget, multisets)
 
@@ -209,14 +209,14 @@ def _orbit_table(layer: StabilizerCode, n_entries: int) -> tuple[np.ndarray, np.
     site permutation, so its orbits are the multisets, each represented by
     its sorted assignment (middle layers, and ``s_rb_stack_exact`` tops;
     ``capacity`` reads a repetition top by its atom table).  Any other
-    layer's orbits are labelled over all E^n assignments
-    (``_orbit_labels``).  Both are refused above the assignment budget
+    layer's are the assignments that are their own least image
+    (``_least_orbits``).  Both are refused above the assignment budget
     before anything is built.
     """
     n, e = layer.n, n_entries
     if rep_type_of(layer) is None:
         check_budget(e ** n, f"{e}^{n} = {e ** n} assignments")
-        return _orbit_labels(layer, e)
+        return _least_orbits(layer, e)
     counts, log_size = multisets(n, e)
     assign = np.repeat(np.tile(np.arange(e), counts.shape[0]),
                        counts.ravel().astype(np.intp)).reshape(-1, n)
@@ -226,29 +226,24 @@ def _orbit_table(layer: StabilizerCode, n_entries: int) -> tuple[np.ndarray, np.
 
 
 @functools.lru_cache(maxsize=32)
-def _orbit_labels(layer: StabilizerCode, n_entries: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit representatives and log orbit sizes by labelling: every index
-    takes the smallest label reachable through the generators' digit
-    permutations, until the labels stop changing; each label is the
-    smallest index of its orbit.  Read-only: it is shared.
-    """
+def _least_orbits(layer: StabilizerCode, n_entries: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_orbit_table`` of a layer by least image (``_canonical_rows``, as
+    for Monte Carlo tops), in blocks of assignments: site 0 is the most
+    significant digit, so an orbit's least image is its least index, and
+    its size is |G| over the permutations that fix it.  Read-only: shared."""
     n, e = layer.n, n_entries
+    group = automorphism_group(layer)
     place = e ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    index = np.arange(e ** n, dtype=np.int64)
-    labels = index
-    while True:
-        before = labels
-        for perm in site_automorphisms(layer):
-            image = np.zeros_like(index)
-            for i in range(n):
-                image += index // place[i] % e * place[perm[i]]
-            labels = np.minimum(labels, labels[image])
-            labels[image] = np.minimum(labels[image], labels)
-            labels = labels[labels]
-        if np.array_equal(labels, before):
-            break
-    reps, sizes = np.unique(labels, return_counts=True)
-    log_size = np.log(sizes)
+    step = max(1, _CHUNK_ELEMS // group.shape[0])
+    reps, sizes = [], []
+    for start in range(0, e ** n, step):
+        index = np.arange(start, min(start + step, e ** n), dtype=np.int64)
+        digits = index[:, None] // place % e
+        canon, fixed = _canonical_rows(digits, group, e)
+        least = (canon == digits).all(axis=1)
+        reps.append(index[least])
+        sizes.append(group.shape[0] // fixed[least])
+    reps, log_size = np.concatenate(reps), np.log(np.concatenate(sizes))
     reps.flags.writeable = log_size.flags.writeable = False
     return reps, log_size
 
@@ -453,38 +448,42 @@ def _sample_syndromes(layer: StabilizerCode, table: np.ndarray, rows: np.ndarray
     return np.concatenate(chans), index
 
 
-def _canonical_rows(rows: np.ndarray, group: np.ndarray, radix: int) -> np.ndarray:
+def _canonical_rows(rows: np.ndarray, group: np.ndarray,
+                    radix: int) -> tuple[np.ndarray, np.ndarray]:
     """The lexicographically least image of each row of indices below
     ``radix`` under the site permutations ``group`` (|G|, n), which move the
-    index on site i to site perm[i].
+    index on site i to site perm[i], and how many permutations give it.
 
-    An image's sites fold in mixed radix into as many int64 words as fit:
-    word w of the image of the rows under perm is ``rows @ place[w][perm]``.
-    The least image is found word by word among the permutations still
-    tied on the earlier words; mostly one word does.  Keys are formed in
-    blocks of rows of at most ``_CHUNK_ELEMS`` (row, perm) pairs.
+    An image's sites fold in mixed radix into as many float64 words as hold
+    them exactly, radix^width <= 2^53: word w of the image of the rows
+    under perm is ``place[w][perm] @ rows.T``, one BLAS matmul over the group.
+    The least image is found word by word among the permutations still tied
+    on the earlier words; mostly one word does.  Keys are formed in blocks
+    of rows of at most ``_CHUNK_ELEMS`` (row, perm) pairs.
     """
     n = rows.shape[1]
     width = 1
-    while width < n and radix ** (width + 1) <= 1 << 63:
+    while width < n and radix ** (width + 1) <= 1 << 53:
         width += 1
     site = np.arange(n)
     place = np.where(site // width == np.arange(-(-n // width))[:, None],
                      radix ** (width - 1 - site % width), 0)  # (words, n)
-    weights = place[:, group].transpose(0, 2, 1)  # (words, n, |G|)
+    weights = place[:, group].astype(float)  # (words, |G|, n)
     best = np.empty(rows.shape[0], dtype=np.intp)
+    ties = np.empty(rows.shape[0], dtype=np.intp)
     step = max(1, _CHUNK_ELEMS // group.shape[0])
     for start in range(0, rows.shape[0], step):
-        block = rows[start:start + step]
-        keys = block @ weights[0]
-        alive = keys == keys.min(axis=1, keepdims=True)
+        block = rows[start:start + step].T.astype(float)
+        keys = weights[0] @ block  # (|G|, rows): the minimum over G is elementwise
+        alive = keys == keys.min(axis=0)
         for w in weights[1:]:
-            keys = np.where(alive, block @ w, np.iinfo(np.int64).max)
-            alive &= keys == keys.min(axis=1, keepdims=True)
-        best[start:start + step] = alive.argmax(axis=1)
+            keys = np.where(alive, w @ block, np.inf)
+            alive &= keys == keys.min(axis=0)
+        best[start:start + step] = alive.argmax(axis=0)
+        ties[start:start + step] = np.count_nonzero(alive, axis=0)
     canon = np.empty_like(rows)
     np.put_along_axis(canon, group[best], rows, axis=1)
-    return canon
+    return canon, ties
 
 
 def _top_values(top: StabilizerCode, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -499,7 +498,7 @@ def _top_values(top: StabilizerCode, table: np.ndarray, rows: np.ndarray) -> np.
         uniq, inv = _distinct_rows(rows, table.shape[0])
         group = automorphism_group(top)
         if group.shape[0] > 1:
-            uniq, orbit = _distinct_rows(_canonical_rows(uniq, group, table.shape[0]),
+            uniq, orbit = _distinct_rows(_canonical_rows(uniq, group, table.shape[0])[0],
                                          table.shape[0])
             inv = orbit[inv]
     vals = np.empty(uniq.shape[0])
@@ -546,7 +545,9 @@ def s_rb_stack_mc(stack: CodeStack, ch: PauliChannel, samples: int = 100_000,
     (``top_entries``: closed form for an innermost repetition layer of any
     length), then, layer by layer up to the top, the syndrome class of each
     block from its conditional distribution, and evaluates the top layer
-    exactly; the estimator is the sample mean and is unbiased.
+    exactly; the estimator is the sample mean and is unbiased.  Every other
+    layer, a repetition top too, goes through the Walsh engine, so one past
+    ``exact.EXHAUSTIVE_LIMIT`` qubits is refused before any other work.
 
     A sampled block is a row of indices into a small table of distinct
     channels: the innermost entries, then each middle layer's distinct
@@ -568,6 +569,8 @@ def s_rb_stack_mc(stack: CodeStack, ch: PauliChannel, samples: int = 100_000,
     if len(stack.layers) < 2:
         raise ValueError("Monte Carlo path needs at least two layers")
     _check_samples(samples)
+    for layer in stack.layers[1:] if rep_type_of(stack.layers[0]) else stack.layers:
+        _character_table(layer)  # the one place that refuses long Walsh layers
     weights, channels = top_entries(CodeStack(stack.layers[:2]), ch)
     cum0 = np.cumsum(weights)
     cum0[-1] = 1.0
@@ -590,47 +593,3 @@ def s_rb_stack_mc(stack: CodeStack, ch: PauliChannel, samples: int = 100_000,
     var = max(total_sq / samples - mean * mean, 0.0)
     std_error = math.sqrt(var / samples)
     return mean, std_error
-
-
-def _concat_two(inner: StabilizerCode, outer: StabilizerCode) -> StabilizerCode:
-    """Explicit stabilizer code of outer acting on inner logical qubits."""
-    if inner.k != 1:
-        raise ValueError("inner layer of a concatenation must have k = 1")
-    n = inner.n * outer.n
-    gens = []
-    for blk in range(outer.n):
-        for g in inner.generators:
-            gens.append(PauliString(n, g.x_bits << (blk * inner.n),
-                                    g.z_bits << (blk * inner.n)))
-    logical_of = {
-        "I": PauliString.identity(inner.n),
-        "X": inner.logical_x[0],
-        "Z": inner.logical_z[0],
-        "Y": pauli_mul(inner.logical_x[0], inner.logical_z[0]),
-    }
-
-    def lift(p: PauliString) -> PauliString:
-        x = z = 0
-        for blk in range(outer.n):
-            rep = logical_of[p.letter(blk)]
-            x |= rep.x_bits << (blk * inner.n)
-            z |= rep.z_bits << (blk * inner.n)
-        return PauliString(n, x, z)
-
-    gens.extend(lift(g) for g in outer.generators)
-    code = StabilizerCode(f"{inner.name} x {outer.name}", n, outer.k, tuple(gens),
-                          tuple(lift(p) for p in outer.logical_x),
-                          tuple(lift(p) for p in outer.logical_z))
-    validate_code(code)
-    return code
-
-
-def compose_stack(stack: CodeStack) -> StabilizerCode:
-    """Explicit flat code of a whole stack (oracle for the grouped engine)."""
-    if not stack.layers:
-        from .codes import trivial_code
-        return trivial_code()
-    code = stack.layers[0]
-    for layer in stack.layers[1:]:
-        code = _concat_two(code, layer)
-    return code

@@ -19,8 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from cosetcap import (ChannelFamily, CodeStack, MonteCarlo, block_table,
-                      compose_stack, family_eval,
+from cosetcap import (ChannelFamily, CodeStack, MonteCarlo, block_table, family_eval,
                       hashing_point, make_repetition_code,
                       nonadditivity_at_hashing, optimize_channel,
                       parse_stack_spec, registry_get, s_rb_estimate, s_rb_rep, s_rb_stack_exact,
@@ -30,7 +29,7 @@ from cosetcap.exact import coset_distribution
 from cosetcap.tables import load_manifest
 from conftest import random_channels
 from oracle import concat_rep_coset_probs
-from xor_reference import gather_s_rb
+from xor_reference import compose_stack, gather_s_rb
 
 DEPOL = ChannelFamily("depolarizing")
 INDXZ = ChannelFamily("independent_xz")

@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 
 import cosetcap
-from cosetcap import compose_stack, parse_stack_spec, registry_get, serialize_code
+from cosetcap import parse_stack_spec, registry_get, serialize_code
 from cosetcap.capacity import DEFAULT_TOL
 from cosetcap.cli import (EXIT_DIFF, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                           build_parser, run)
 from cosetcap.optimize import DEFAULT_RESTARTS
+from xor_reference import compose_stack
 
 
 def test_help_documents_stack_convention():

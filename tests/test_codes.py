@@ -6,13 +6,14 @@ import time
 import numpy as np
 import pytest
 
-from cosetcap import (PauliString, anticommutes, classify,
-                      make_repetition_code, parse_code, pauli_mul, registry_get,
-                      registry_names, serialize_code, trivial_code)
+from cosetcap import (PauliString, anticommutes, make_repetition_code, parse_code,
+                      pauli_mul, registry_get, registry_names, serialize_code,
+                      trivial_code)
 from cosetcap.codes import (CodeValidationError, _is_automorphism, _symplectic_basis,
                             _symplectic_rank, automorphism_group, rep_type_of,
                             site_automorphisms, validate_code)
 from conftest import CODE_NAMES, REP_ALIASES
+from xor_reference import classify
 
 P = PauliString.from_text
 

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from cosetcap import (ChannelFamily, PauliChannel, PauliString, classify,
-                      coset_distribution, custom_family, family_eval,
-                      registry_get, s_rb_code)
+from cosetcap import (ChannelFamily, PauliChannel, PauliString, coset_distribution,
+                      custom_family, family_eval, registry_get, s_rb_code)
 from cosetcap.exact import CLASS_OF_LETTER, ExhaustiveLimitError
 from conftest import CODE_NAMES, assert_probabilities, random_channels
-from xor_reference import gather_s_rb
+from xor_reference import classify, gather_s_rb
 
 DEPOL = ChannelFamily("depolarizing")
 

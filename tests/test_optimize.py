@@ -3,17 +3,15 @@ import pytest
 
 from cosetcap import (nonadditivity_at_hashing, optimize_channel,
                       parse_stack_spec)
-from cosetcap.optimize import (_c_to_theta, _nelder_mead, _starts, _theta_to_c,
-                               project_floor)
+from cosetcap.optimize import (_c_to_theta, _nelder_mead, _project_rows, _starts,
+                               _theta_to_c)
 
 
 def test_project_floor():
-    c = project_floor((0.5, 0.3, 0.2))
-    assert c == pytest.approx((0.5, 0.3, 0.2))
-    c = project_floor((1.0, 0.0, 0.0))
-    assert min(c) >= 0.0001 - 1e-15
-    assert sum(c) == pytest.approx(1.0, abs=1e-15)
-    c = project_floor((5.0, 3.0, 2.0))
+    a, b, c = _project_rows(np.array([[0.5, 0.3, 0.2], [1.0, 0.0, 0.0], [5.0, 3.0, 2.0]]))
+    assert a == pytest.approx((0.5, 0.3, 0.2))
+    assert min(b) >= 0.0001 - 1e-15
+    assert sum(b) == pytest.approx(1.0, abs=1e-15)
     assert sum(c) == pytest.approx(1.0)
 
 
@@ -107,4 +105,4 @@ def test_theta_to_c_rows_match_project_floor():
     for t, c in zip(theta, _theta_to_c(theta)):
         z = np.array([t[0], t[1], 0.0])
         e = np.exp(z - z.max())
-        assert c == project_floor(e / e.sum())
+        assert c == tuple(_project_rows((e / e.sum())[None, :])[0].tolist())

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cosetcap import (ChannelFamily, CodeStack, block_table, compose_stack,
-                      family_eval, make_repetition_code, registry_get, s_rb_code, s_rb_rep)
+from cosetcap import (ChannelFamily, CodeStack, block_table, family_eval,
+                      make_repetition_code, registry_get, s_rb_code, s_rb_rep)
 from cosetcap.capacity import evaluate_s_rb
 from cosetcap.exact import coset_distribution
 from cosetcap.rep import (StackBudgetError, _multisets, block_entries, multiset_count,
                           multisets, s_rb_atoms, top_atoms)
 from conftest import assert_probabilities, random_channels
 from oracle import concat_rep_coset_probs, fgh_eval
+from xor_reference import compose_stack
 
 DEPOL = ChannelFamily("depolarizing")
 FAMILIES = [ChannelFamily("depolarizing"), ChannelFamily("independent_xz"),

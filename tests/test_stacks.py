@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import time
 
@@ -6,20 +7,20 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 from cosetcap import (ChannelFamily, CodeStack, MonteCarlo, PauliChannel,
-                      compose_stack, effective_channels, family_eval,
-                      make_repetition_code, parse_code, parse_stack_spec,
-                      registry_get, s_rb_code, s_rb_stack_exact, s_rb_stack_mc)
+                      effective_channels, family_eval, make_repetition_code, parse_code,
+                      parse_stack_spec, registry_get, s_rb_code, s_rb_stack_exact,
+                      s_rb_stack_mc)
 from cosetcap import capacity, rep, stacks
 from cosetcap.codes import (StabilizerCode, automorphism_group, serialize_code,
                             site_automorphisms)
-from cosetcap.exact import (_E4, _WHT_BLOCK, _cells, _character_table, _inverse_wht,
-                            batched_s_rb)
+from cosetcap.exact import (_E4, _WHT_BLOCK, ExhaustiveLimitError, _cells,
+                            _character_table, _inverse_wht, batched_s_rb)
 from cosetcap.longrep import s_rb_estimate_atoms
 from cosetcap.pauli import PauliString
-from cosetcap.stacks import StackBudgetError, _canonical_rows, _orbit_labels, _orbit_table
+from cosetcap.stacks import StackBudgetError, _canonical_rows, _orbit_table
 from conftest import assert_probabilities
 from mc_reference import s_rb_stack_mc_rows
-from xor_reference import gather_s_rb, letter_masks
+from xor_reference import compose_stack, gather_s_rb, letter_masks
 
 DEPOL = ChannelFamily("depolarizing")
 CH06 = family_eval(DEPOL, 0.06)
@@ -219,6 +220,23 @@ def test_mc_takes_long_innermost_repetition_layers(spec):
     assert se > 0.0 and abs(est - exact) <= 4.0 * se
 
 
+@pytest.mark.parametrize("spec", ["repZ(3) x {c20}", "5qubit x repZ(15)",
+                                  "repX(3) x 5qubit x repZ(15)"])
+def test_mc_refuses_long_walsh_layers_first(tmp_path, spec):
+    # every layer but an innermost repetition one goes through the Walsh
+    # engine, a repetition top too: a 20-qubit top (5qubit x repZ(4) written
+    # out flat) is refused before its automorphism group is searched
+    flat = dataclasses.replace(compose_stack(parse_stack_spec("5qubit x repZ(4)")),
+                               name="c20")
+    path = tmp_path / "c20.code"
+    path.write_text(serialize_code(flat))
+    stack = parse_stack_spec(spec.format(c20=path))
+    start = time.perf_counter()
+    with pytest.raises(ExhaustiveLimitError, match="exceeds exhaustive limit"):
+        s_rb_stack_mc(stack, family_eval(DEPOL, 0.05), samples=2000, seed=0)
+    assert time.perf_counter() - start < 5.0
+
+
 @pytest.mark.parametrize("samples", [0, -5])
 def test_mc_needs_a_positive_sample_count(samples):
     stack = parse_stack_spec("repZ(3) x repX(3)")
@@ -303,7 +321,7 @@ def test_mc_evaluates_each_distinct_row_once(monkeypatch):
     # a non-repetition top: one row per orbit of its 8 site automorphisms,
     # no more than the exact path's 2,862 orbits of the 3^9 assignments
     s_rb_stack_mc(parse_stack_spec("repZ(5) x biased9"), ch, samples=20_000)
-    assert 0 < rows["biased9"] <= _orbit_labels(registry_get("biased9"), 3)[0].size == 2862
+    assert 0 < rows["biased9"] <= _orbit_table(registry_get("biased9"), 3)[0].size == 2862
 
 
 def test_distinct_rows_past_the_key_range():
@@ -329,8 +347,8 @@ def test_distinct_rows_count_where_keys_are_few():
 
 def _least_images(rows, group):
     """Reference: the least image of each row over every permutation, as
-    Python tuples."""
-    least = []
+    Python tuples, and how many permutations give it."""
+    least, ties = [], []
     for row in rows.tolist():
         images = []
         for perm in group.tolist():
@@ -339,7 +357,8 @@ def _least_images(rows, group):
                 image[j] = row[i]
             images.append(tuple(image))
         least.append(min(images))
-    return np.array(least, dtype=rows.dtype)
+        ties.append(images.count(least[-1]))
+    return np.array(least, dtype=rows.dtype), np.array(ties)
 
 
 @pytest.mark.parametrize("name,radix", [("5qubit", 3), ("steane", 4), ("toric822", 2),
@@ -347,17 +366,18 @@ def _least_images(rows, group):
 def test_canonical_rows_pick_one_row_per_orbit(name, radix):
     group = automorphism_group(registry_get(name))
     rows = np.random.default_rng(radix).integers(0, radix, size=(60, group.shape[1]))
-    canon = _canonical_rows(rows, group, radix)
-    assert np.array_equal(canon, _least_images(rows, group))  # in the row's orbit
-    assert np.array_equal(_canonical_rows(canon, group, radix), canon)  # idempotent
+    canon, ties = _canonical_rows(rows, group, radix)
+    want, want_ties = _least_images(rows, group)
+    assert np.array_equal(canon, want) and np.array_equal(ties, want_ties)
+    assert np.array_equal(_canonical_rows(canon, group, radix)[0], canon)  # idempotent
     for perm in group[::max(1, group.shape[0] // 16)]:
         image = np.empty_like(rows)
         image[:, perm] = rows
-        assert np.array_equal(_canonical_rows(image, group, radix), canon)
+        assert np.array_equal(_canonical_rows(image, group, radix)[0], canon)
 
 
 def test_canonical_rows_past_the_key_range(monkeypatch):
-    # radix 2^40 on the 5 sites of 5qubit: one site per int64 word, and rows
+    # radix 2^40 on the 5 sites of 5qubit: one site per float64 word, and rows
     # built from few values near the top of the range tie on the first
     # words, so later words decide; tiny key blocks cross block edges
     monkeypatch.setattr(stacks, "_CHUNK_ELEMS", 30)
@@ -365,9 +385,10 @@ def test_canonical_rows_past_the_key_range(monkeypatch):
     rng = np.random.default_rng(7)
     values = (1 << 40) - 1 - np.array([0, 1, 1 << 39])
     rows = values[rng.integers(0, 3, size=(200, 5))]
-    canon = _canonical_rows(rows, group, 1 << 40)
-    assert np.array_equal(canon, _least_images(rows, group))
-    assert np.array_equal(_canonical_rows(canon, group, 1 << 40), canon)
+    canon, ties = _canonical_rows(rows, group, 1 << 40)
+    want, want_ties = _least_images(rows, group)
+    assert np.array_equal(canon, want) and np.array_equal(ties, want_ties)
+    assert np.array_equal(_canonical_rows(canon, group, 1 << 40)[0], canon)
 
 
 @pytest.mark.parametrize("name", ["5qubit", "422", "toric822", "biased9"])
@@ -569,7 +590,21 @@ def test_orbit_sizes_sum_to_every_assignment(name, n_entries):
     assert np.all(np.diff(reps) > 0) and 0 <= reps[0] and reps[-1] < n_entries ** code.n
 
 
-@pytest.mark.parametrize("name,n_entries", [("5qubit", 3), ("422", 3), ("steane", 2)])
+@pytest.mark.parametrize("name,n_entries", [("5qubit", 3), ("biased9", 3), ("shor", 2)])
+def test_orbit_tables_do_not_depend_on_chunks(monkeypatch, name, n_entries):
+    # blocks of a few assignments (one at a time for shor's 1296
+    # automorphisms), so the members of an orbit fall in different blocks
+    code = registry_get(name)
+    build = stacks._least_orbits.__wrapped__  # past the cache
+    want = build(code, n_entries)
+    monkeypatch.setattr(stacks, "_CHUNK_ELEMS", 64)
+    reps, log_size = build(code, n_entries)
+    assert np.array_equal(reps, want[0]) and np.array_equal(log_size, want[1])
+    assert np.rint(np.exp(log_size)).sum() == n_entries ** code.n
+
+
+@pytest.mark.parametrize("name,n_entries", [("5qubit", 3), ("422", 3), ("steane", 2),
+                                            ("shor", 2), ("toric822", 3), ("biased9", 3)])
 def test_orbits_match_explicit_group_action(name, n_entries):
     # each representative's orbit, from the whole group acting on digit
     # tuples, has the size the table gives, and the orbits partition

@@ -6,15 +6,23 @@ bit vector site by site: each letter moves its probability from cell u to
 cell u ^ mask, where mask holds the classification bits the letter flips
 on that site.  The library computes the same tables in the Walsh domain.
 Tables are (syndromes, classes) arrays in the layout of
-``cosetcap.exact.coset_distribution``.
+``cosetcap.exact.coset_distribution``.  The flat codes it reads for a
+stack come from ``compose_stack``, which writes out the concatenation
+explicitly, and ``classify`` gives the bits of one error by its symplectic
+products.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import xlogy
+
+from cosetcap import (CodeStack, PauliString, StabilizerCode, anticommutes, pauli_mul,
+                      trivial_code)
+from cosetcap.codes import validate_code
 
 _LETTERS = ((0, 0), (1, 0), (1, 1), (0, 1))  # (x, z) of I, X, Y, Z
 
@@ -59,3 +67,69 @@ def gather_s_rb(code, ch) -> float:
     cells = gather_table(code, [ch] * code.n)
     synd = cells.sum(axis=1)
     return float(xlogy(synd, synd).sum() - xlogy(cells, cells).sum()) / math.log(2.0)
+
+
+@dataclass(frozen=True)
+class Classification:
+    syndrome: tuple[int, ...]
+    logical_class: tuple[int, ...]
+
+
+def classify(code: StabilizerCode, e: PauliString) -> Classification:
+    """Syndrome and logical-class bits of an error.
+
+    syndrome[i] = anticommutes(e, generators[i]); class bits come in
+    (logical_x[j], logical_z[j]) pairs.  Two errors share both vectors
+    exactly when they sit in the same stabilizer coset.
+    """
+    if e.n != code.n:
+        raise ValueError(f"error length {e.n} != code n {code.n}")
+    syndrome = tuple(anticommutes(e, g) for g in code.generators)
+    cls = []
+    for j in range(code.k):
+        cls.append(anticommutes(e, code.logical_x[j]))
+        cls.append(anticommutes(e, code.logical_z[j]))
+    return Classification(syndrome, tuple(cls))
+
+
+def _concat_two(inner: StabilizerCode, outer: StabilizerCode) -> StabilizerCode:
+    """Explicit stabilizer code of outer acting on inner logical qubits."""
+    if inner.k != 1:
+        raise ValueError("inner layer of a concatenation must have k = 1")
+    n = inner.n * outer.n
+    gens = []
+    for blk in range(outer.n):
+        for g in inner.generators:
+            gens.append(PauliString(n, g.x_bits << (blk * inner.n),
+                                    g.z_bits << (blk * inner.n)))
+    logical_of = {
+        "I": PauliString.identity(inner.n),
+        "X": inner.logical_x[0],
+        "Z": inner.logical_z[0],
+        "Y": pauli_mul(inner.logical_x[0], inner.logical_z[0]),
+    }
+
+    def lift(p: PauliString) -> PauliString:
+        x = z = 0
+        for blk in range(outer.n):
+            rep = logical_of[p.letter(blk)]
+            x |= rep.x_bits << (blk * inner.n)
+            z |= rep.z_bits << (blk * inner.n)
+        return PauliString(n, x, z)
+
+    gens.extend(lift(g) for g in outer.generators)
+    code = StabilizerCode(f"{inner.name} x {outer.name}", n, outer.k, tuple(gens),
+                          tuple(lift(p) for p in outer.logical_x),
+                          tuple(lift(p) for p in outer.logical_z))
+    validate_code(code)
+    return code
+
+
+def compose_stack(stack: CodeStack) -> StabilizerCode:
+    """Explicit flat code of a whole stack (oracle for the grouped engine)."""
+    if not stack.layers:
+        return trivial_code()
+    code = stack.layers[0]
+    for layer in stack.layers[1:]:
+        code = _concat_two(code, layer)
+    return code
